@@ -95,9 +95,21 @@ TEST(WsDequeTest, SoleThiefNeverAborts) {
 TEST(WsDequeTest, LastElementPopVsStealRace) {
   // One element, owner pop racing one thief steal, many rounds: exactly
   // one side must win each round, and a loser must see kEmpty/kAbort.
+  //
+  // Each round is settled before the next push. The owner pushes r and
+  // publishes `round = r`; the thief stores `started = r` and steals at
+  // once, while the owner pops as soon as it sees `started == r`, so both
+  // sides hit the last element together. Once its steal has settled (the
+  // element or kEmpty; kAbort is retried) the thief reports whether it won
+  // and stores `acked = r`. The owner waits for that ack, checks the
+  // round, and only then pushes r+1, so neither side can ever see another
+  // round's element. Every wait yields, so the test also runs on one core.
   const int kRounds = 4000;
   WsDeque d(4);
   std::atomic<int> round{-1};
+  std::atomic<int> started{-1};
+  std::atomic<int> acked{-1};
+  std::atomic<bool> thief_won{false};
   std::atomic<int> wins{0};
   std::atomic<bool> stop{false};
   std::atomic<int> aborts{0};
@@ -105,8 +117,12 @@ TEST(WsDequeTest, LastElementPopVsStealRace) {
     int seen = -1;
     while (!stop.load()) {
       const int r = round.load(std::memory_order_acquire);
-      if (r == seen) continue;
+      if (r == seen) {
+        std::this_thread::yield();
+        continue;
+      }
       seen = r;
+      started.store(r, std::memory_order_release);
       std::int32_t v = d.steal();
       while (v == WsDeque::kAbort) {
         // Retry semantics: an abort may be retried and must eventually
@@ -118,19 +134,26 @@ TEST(WsDequeTest, LastElementPopVsStealRace) {
         EXPECT_EQ(v, r);
         wins.fetch_add(1);
       }
+      thief_won.store(v >= 0, std::memory_order_relaxed);
+      acked.store(r, std::memory_order_release);
     }
   });
   for (int r = 0; r < kRounds; ++r) {
     d.push(r);
     round.store(r, std::memory_order_release);
-    std::int32_t v = d.pop();
+    while (started.load(std::memory_order_acquire) != r)
+      std::this_thread::yield();
+    const std::int32_t v = d.pop();
     if (v >= 0) {
       EXPECT_EQ(v, r);
       wins.fetch_add(1);
     }
-    // Whoever lost must find the deque empty; spin until the winner's
-    // CAS landed so the next round starts clean.
-    while (!d.empty()) std::this_thread::yield();
+    while (acked.load(std::memory_order_acquire) != r)
+      std::this_thread::yield();
+    EXPECT_NE(v >= 0, thief_won.load(std::memory_order_relaxed))
+        << "round " << r << ": exactly one of owner and thief must win "
+        << "(owner pop returned " << v << ")";
+    EXPECT_TRUE(d.empty()) << "round " << r << " left its element behind";
   }
   stop.store(true);
   thief.join();
