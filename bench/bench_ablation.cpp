@@ -87,9 +87,7 @@ void base_sweep(bench::Output& out, std::size_t n) {
   out.emit(t);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"n", "sched", "jobs", "misses", "json"},
                               "see the header of bench_ablation.cpp");
@@ -114,4 +112,10 @@ int main(int argc, char** argv) {
                "this model; alpha' mainly shifts anchoring granularity; "
                "larger bases cut strand counts but coarsen the DAG.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

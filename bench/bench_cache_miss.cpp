@@ -62,9 +62,7 @@ class QStarCache {
   std::map<std::pair<std::string, double>, double> memo_;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(
       args,
@@ -180,4 +178,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

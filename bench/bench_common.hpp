@@ -6,8 +6,12 @@
 // Passing `--json=<path>` to any bench that routes its tables through
 // bench::Output mirrors every table into a machine-readable JSON file
 // (e.g. BENCH_sb_vs_ws.json) for the perf trajectory.
+//
+// Every driver's main() goes through bench::run_main, so a bad flag or a
+// bad spec exits 2 with one `<driver>: <message>` line on stderr.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -25,10 +29,29 @@
 #include "nd/dot.hpp"
 #include "sched/registry.hpp"
 #include "support/args.hpp"
+#include "support/check.hpp"
 #include "support/fit.hpp"
 #include "support/table.hpp"
 
 namespace ndf::bench {
+
+/// A driver's main(): runs `body` (returning the exit code) and turns a
+/// CheckError — a bad flag, a bad spec, any failed precondition — into
+/// one stderr line `<driver>: <message>` and exit code 2, instead of the
+/// abort an uncaught exception ends in. `argv0` names the driver.
+template <typename Body>
+int run_main(const char* argv0, Body&& body) {
+  try {
+    return body();
+  } catch (const CheckError& e) {
+    std::string driver = argv0 ? argv0 : "bench";
+    driver = driver.substr(driver.find_last_of('/') + 1);
+    std::string msg = e.what();
+    std::replace(msg.begin(), msg.end(), '\n', ' ');
+    std::cerr << driver << ": " << msg << "\n";
+    return 2;
+  }
+}
 
 /// `--sched=<name>` for benches that run exactly one policy; validated
 /// against the registry (the error lists the registered names).
@@ -41,7 +64,7 @@ inline std::string single_policy(const Args& args, const std::string& dflt) {
 }
 
 /// `--jobs=<n>` for benches that execute sweeps: 0 (the default) means one
-/// worker per hardware thread, 1 forces the serial path. Sweep output is
+/// worker per hardware thread, 1 runs on the calling thread. Output is
 /// byte-identical at every value, so this only changes wall-clock time.
 inline std::size_t jobs_flag(const Args& args) {
   const long long jobs = args.get("jobs", 0LL);

@@ -34,9 +34,7 @@ void row(Table& t, const exp::WorkloadSpec& spec) {
              (long long)nd.max_level_width, (long long)np.max_level_width});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"workloads", "json"},
                               "see the header of bench_dag_stats.cpp");
@@ -61,4 +59,10 @@ int main(int argc, char** argv) {
                  "FW1D (the paper's algorithms); MM similar in both "
                  "models.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

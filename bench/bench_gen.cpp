@@ -102,9 +102,7 @@ bool fuzz(std::size_t n) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"workloads", "fuzz", "dump-dot", "json"},
                               "see the header of bench_gen.cpp");
@@ -136,4 +134,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

@@ -34,9 +34,7 @@ void sweep(const std::string& name, const std::string& algo,
   t.print(std::cout);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::heading(
       "E6 parallelizability/Claims 2-3",
       "Claims 2-3: alpha_max(MM) ~ 1 - log_M(1+c); NP TRS loses "
@@ -51,3 +49,7 @@ int main() {
                "serializes), and MM shows little gap.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

@@ -36,9 +36,7 @@ void sweep(const std::string& name, Make make,
   bench::print_fit(name + " Q* vs n", ns, qs);
 }
 
-}  // namespace
-
-int main() {
+int run() {
   bench::heading("E5 pcc/Claim 1",
                  "Claim 1: Q*(N;M) = O(N^1.5/M^0.5) = O(n^3/sqrt(M)) for "
                  "MM/TRS/CHO/FW2D; Q*(n;M) = O(n^2/M) for LCS.");
@@ -66,3 +64,7 @@ int main() {
                "falls like 1/sqrt(M) (dense) and 1/M (LCS).\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

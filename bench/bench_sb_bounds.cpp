@@ -39,9 +39,7 @@ void run(bench::Output& out, const std::string& policy,
   out.emit(t);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"sched", "json"},
                               "see the header of bench_sb_bounds.cpp");
@@ -65,4 +63,10 @@ int main(int argc, char** argv) {
   std::cout << "Expected shape: miss ratios <= 1 (Thm 1 holds); makespan "
                "ratio a small constant (the vh overhead).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

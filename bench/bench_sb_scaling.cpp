@@ -75,9 +75,7 @@ void sweep(bench::Output& out, const std::string& policy,
   out.emit(t);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"sched", "jobs", "misses", "json"},
                               "see the header of bench_sb_scaling.cpp");
@@ -96,4 +94,10 @@ int main(int argc, char** argv) {
                "eff_NP; the gap widens with p (who wins: ND, by a growing "
                "factor).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

@@ -90,9 +90,7 @@ void compare(bench::Output& out, const std::vector<std::string>& policies,
   out.emit(t);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"sched", "jobs", "misses", "json"},
                               "see the header of bench_sb_vs_ws.cpp");
@@ -112,4 +110,10 @@ int main(int argc, char** argv) {
   std::cout << "Expected shape: WS/SB miss ratio > 1 (often substantially); "
                "makespan follows when miss costs dominate.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

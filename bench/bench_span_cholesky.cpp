@@ -7,7 +7,9 @@
 
 using namespace ndf;
 
-int main() {
+namespace {
+
+int run() {
   bench::heading("E3 span/Cholesky",
                  "Claim: T_inf(CHO) = Theta(n log^2 n) in NP vs Theta(n) in "
                  "ND (Eq. 12 solves to O(n)).");
@@ -31,3 +33,7 @@ int main() {
                "flat.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

@@ -9,7 +9,9 @@
 
 using namespace ndf;
 
-int main() {
+namespace {
+
+int run() {
   bench::heading("E4 span/FW1D+LU",
                  "Claims: FW1D NP Theta(n log n) vs ND Theta(n) (Eq. 15); "
                  "LU ND O(n log n) vs NP O(n log^2 n) for square n.");
@@ -51,3 +53,7 @@ int main() {
                "factor in ND (pivoting) and gains one over NP.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

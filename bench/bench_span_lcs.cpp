@@ -8,7 +8,9 @@
 
 using namespace ndf;
 
-int main() {
+namespace {
+
+int run() {
   bench::heading("E1 span/LCS",
                  "Claim: T_inf(LCS) = Theta(n log n) in NP vs Theta(n) in "
                  "ND (optimal).");
@@ -32,3 +34,7 @@ int main() {
                "NP/(n log n) ratio flat.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

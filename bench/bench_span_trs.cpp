@@ -8,7 +8,9 @@
 
 using namespace ndf;
 
-int main() {
+namespace {
+
+int run() {
   bench::heading("E2 span/TRS",
                  "Claim: T_inf(TRS) = Theta(n log n) in NP vs Theta(n) in "
                  "ND; Fig. 8's cross-section chain is O(n).");
@@ -32,3 +34,7 @@ int main() {
                "above; crossover favors ND at every n.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int, char** argv) { return bench::run_main(argv[0], run); }

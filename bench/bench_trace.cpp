@@ -19,10 +19,8 @@ using namespace ndf;
 namespace {
 
 /// Runs one elaboration and prints its utilization timeline. The unit
-/// trace now comes from the structured event stream (obs::EventRecorder →
-/// unit_trace()), which is element-identical to the legacy
-/// SchedOptions::trace capture, so the table is byte-identical to the
-/// pre-obs bench. `keep`, when non-null, receives the run's recorder (the
+/// trace comes from the structured event stream (obs::EventRecorder →
+/// unit_trace()). `keep`, when non-null, receives the run's recorder (the
 /// --trace-out export).
 void timeline(bench::Output& out, const std::string& policy,
               const std::string& name, const StrandGraph& g, const Pmh& m,
@@ -45,9 +43,7 @@ void timeline(bench::Output& out, const std::string& policy,
   if (keep != nullptr) *keep = std::move(rec);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(args, {"n", "buckets", "sched", "json",
                                      "trace-out"},
@@ -87,4 +83,10 @@ int main(int argc, char** argv) {
                  first.events().size(), trace_out.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

@@ -152,9 +152,7 @@ int run_smoke(double spin) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(
       args,
@@ -268,4 +266,10 @@ int main(int argc, char** argv) {
   out.emit(scaling);
   out.emit(workers_tab);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

@@ -93,9 +93,7 @@ void list_everything() {
     std::cout << "  " << c.name << " — " << c.description << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(
       args,
@@ -217,4 +215,10 @@ int main(int argc, char** argv) {
                  rec.events().size(), trace_out.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

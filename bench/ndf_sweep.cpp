@@ -20,7 +20,7 @@
 //   --alpha=<x,x,...>            SB allocation exponents, default 1.0
 //   --repeat=<k> --seed=<s>      seed axis: seeds s..s+k-1 (ws variance)
 //   --jobs=<n>                   grid workers: 0 = hardware concurrency
-//                                (default), 1 = legacy serial path; output
+//                                (default), 1 = the calling thread; output
 //                                is byte-identical at every n
 //   --misses                     simulate cache occupancy per run and
 //                                grow comm_cost + Q_L<i> measured-miss
@@ -102,9 +102,7 @@ void list_everything() {
     std::cout << "  " << c.name << " — " << c.description << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args(argc, argv);
   bench::reject_unknown_flags(
       args,
@@ -236,7 +234,7 @@ int main(int argc, char** argv) {
                  "cell-execution %.3fs, emit %.3fs\n",
                  pt.workload_build, pt.condensation, pt.cell_execution,
                  emit_s);
-    // Pool self-profiling (empty on the serial path): busy seconds and
+    // Pool self-profiling (empty at --jobs=1: no pool): busy seconds and
     // task count per worker expose imbalance the phase totals hide.
     const auto& ws = sweep.worker_stats();
     for (std::size_t w = 0; w < ws.size(); ++w)
@@ -244,4 +242,10 @@ int main(int argc, char** argv) {
                    w, ws[w].busy_s, ws[w].tasks);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
 }

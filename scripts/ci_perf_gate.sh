@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate for the parallel sweep engine.
 #
-# Runs the gate grid and the ndf_sweep --stress grid through the engine at
-# --jobs=1 (serial path) and --jobs=N (chunked thread-pool fan-out) and:
+# Runs the gate grid and the ndf_sweep --stress grid through the grid
+# runner (src/exp/grid.hpp) at --jobs=1 (every phase on the calling
+# thread) and --jobs=N (chunked thread-pool fan-out) and:
 #   1. FAILS if any output (stdout table, JSON, CSV) differs byte-for-byte
 #      between the two: parallel execution must be unobservable in results.
 #      The identity check also covers the smoke grid with and without

@@ -71,33 +71,25 @@ CondensationPlan plan_condensations(const Scenario& s,
   NDF_CHECK_MSG(machines.size() == s.machines.size(),
                 "plan_condensations: machines were not built from the "
                 "scenario's machine list");
-  // Dedupe machine cache profiles to small integer ids once, so the walk
-  // over the grid below compares integers, not vector<double>s.
-  std::vector<std::vector<double>> profiles;
-  std::vector<std::size_t> machine_profile(machines.size());
-  for (std::size_t m = 0; m < machines.size(); ++m) {
-    std::vector<double> sizes = level_cache_sizes(machines[m]);
-    std::size_t p = 0;
-    while (p < profiles.size() && profiles[p] != sizes) ++p;
-    if (p == profiles.size()) profiles.push_back(std::move(sizes));
-    machine_profile[m] = p;
-  }
+  // Machine cache profiles as small integer ids, so the walk over the
+  // grid below compares integers, not vector<double>s.
+  const CacheProfiles profiles = cache_profiles(machines);
 
   // Dense (workload, σ, profile) → key-index memo: one O(1) lookup per
   // cell keeps planning linear in the grid even when repeats/α'/policies
   // multiply the cell count far past the key count.
   constexpr std::size_t kNone = std::size_t(-1);
-  const std::size_t S = s.sigmas.size(), P = profiles.size();
+  const std::size_t S = s.sigmas.size(), P = profiles.sizes.size();
   std::vector<std::size_t> memo(s.workloads.size() * S * P, kNone);
 
   CondensationPlan plan;
   plan.cell.reserve(grid.size());
   for (const GridPoint& g : grid) {
-    const std::size_t p = machine_profile[g.machine];
+    const std::size_t p = profiles.of_machine[g.machine];
     std::size_t& k = memo[(g.workload * S + g.sigma) * P + p];
     if (k == kNone) {
       k = plan.keys.size();
-      plan.keys.push_back({g.workload, g.sigma, profiles[p]});
+      plan.keys.push_back({g.workload, g.sigma, profiles.sizes[p]});
     }
     plan.cell.push_back(k);
   }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/grid.hpp"
 #include "exp/workload.hpp"
 #include "sched/sim_core.hpp"
 
@@ -86,18 +87,12 @@ void validate(const Scenario& s);
 SchedOptions point_options(const Scenario& s, const GridPoint& g);
 
 /// The condensations a grid needs, computed up front: one key per distinct
-/// workload × σ × cache-size profile (in first-use grid order — the same
-/// set the serial runner's rolling cache builds lazily), plus each grid
-/// cell's index into them. The parallel sweep engine builds `keys` once,
-/// concurrently, then fans the cells out against the shared immutable dags;
-/// `keys.size()` is the build count both runners must agree on.
+/// workload × σ × cache-size profile, in first-use grid order, plus each
+/// grid cell's index into them. The grid runner (exp/grid.hpp) builds
+/// `keys` once each, then fans the cells out against the shared immutable
+/// dags; `keys.size()` is the sweep's build count.
 struct CondensationPlan {
-  struct Key {
-    std::size_t workload = 0;         ///< index into scenario.workloads
-    std::size_t sigma = 0;            ///< index into scenario.sigmas
-    std::vector<double> sizes;        ///< level_cache_sizes of the machine
-  };
-  std::vector<Key> keys;
+  std::vector<CondensationKey> keys;
   std::vector<std::size_t> cell;      ///< cell[i] = key index of grid[i]
 };
 

@@ -5,55 +5,33 @@
 // pre-split code rebuilt it inside every run; on a 4-policy × 7-machine
 // scaling sweep that was 28 elaborations+decompositions instead of 1.
 //
-// Grid cells are independent once their condensation exists, so the runner
-// executes them on a thread pool (support/thread_pool.hpp): shared
-// condensations are built concurrently first, then cells fan out in
-// *chunks* — contiguous grid ranges, a few per worker — rather than one
-// pool task per cell. Each chunk runs its cells through one reused SimCore
-// (reset() per cell keeps every arena's capacity), so per-cell cost is the
-// simulation itself, not allocation churn; expansion order makes cells
-// sharing a (condensation, machine) contiguous, so the core's cached
-// duration table is recomputed once per binding, not once per cell. Each
-// cell writes only its own pre-sized, cache-line-padded result slot, so
-// the merged vector is in expand_grid order regardless of completion order
-// and emitter output is byte-identical at every `--jobs` value. `jobs == 1`
-// bypasses the pool and runs the serial loop (also the path with the
-// smallest memory footprint: it keeps at most one workload's dags alive,
-// where the parallel engine holds every workload and condensation the grid
-// needs at once); the serial loop reuses one core the same way within each
-// (workload, σ) segment.
+// Execution is the shared grid runner (exp/grid.hpp): every workload is
+// built once, every condensation the plan names is built once, then the
+// cells run in contiguous chunks, each chunk cycling its cells through one
+// reused SimCore (reset() per cell keeps every arena's capacity). Each
+// cell writes only its own slot, so results are in expand_grid order and
+// emitter output is byte-identical at every `--jobs` value — `--jobs=1`
+// runs the same three phases on the calling thread.
 //
 // condensations_built() exposes the actual build count so tests can assert
-// the reuse invariant ("exactly once per workload × σ × cache profile") —
-// both execution paths must report the same number. A run that throws
-// leaves the object fully reset (no results, zero condensations) and a
-// later run() retries from scratch.
+// the reuse invariant ("exactly once per workload × σ × cache profile").
+// A run that throws leaves the object fully reset (no results, zero
+// condensations) and a later run() retries from scratch.
 #pragma once
 
 #include <cstddef>
 
+#include "exp/grid.hpp"
 #include "exp/scenario.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ndf::exp {
-
-/// Wall-clock seconds spent in each phase of a sweep, for `--phase-times`
-/// style reporting. On the parallel path these are the barrier-to-barrier
-/// phase times; on the serial path each activity's time is accumulated as
-/// the rolling loop interleaves them. Emission happens outside Sweep, so
-/// its time is the caller's to measure.
-struct PhaseTimes {
-  double workload_build = 0.0;  ///< elaborating workload graphs
-  double condensation = 0.0;    ///< building CondensedDags
-  double cell_execution = 0.0;  ///< simulating grid cells
-};
 
 class Sweep {
  public:
   /// `jobs` is the worker count for grid execution: 0 (the default) means
-  /// one worker per hardware thread, 1 forces the legacy serial path, and
-  /// any value is clamped to the grid size so tiny sweeps don't spawn
-  /// threads they cannot feed.
+  /// one worker per hardware thread, 1 runs everything on the calling
+  /// thread, and any value is clamped to the grid size so tiny sweeps don't
+  /// spawn threads they cannot feed.
   explicit Sweep(Scenario s, std::size_t jobs = 0)
       : scenario_(std::move(s)), jobs_(jobs) {}
 
@@ -71,7 +49,8 @@ class Sweep {
   /// Per-phase wall-clock of the completed run (zeros before/without one).
   const PhaseTimes& phase_times() const { return phase_times_; }
   /// Per-worker busy/idle accounting of the completed run's thread pool
-  /// (empty before a run, and on the serial path — there are no workers).
+  /// (empty before a run, and when it ran on the calling thread — there
+  /// are no workers).
   const std::vector<ThreadPool::WorkerStats>& worker_stats() const {
     return worker_stats_;
   }
@@ -79,11 +58,6 @@ class Sweep {
   std::size_t jobs() const { return jobs_; }
 
  private:
-  void run_serial(const std::vector<Pmh>& machines,
-                  const std::vector<GridPoint>& grid);
-  void run_parallel(std::size_t jobs, const std::vector<Pmh>& machines,
-                    const std::vector<GridPoint>& grid);
-
   Scenario scenario_;
   std::size_t jobs_ = 0;
   std::vector<RunPoint> results_;

@@ -1,9 +1,8 @@
 // EventRecorder: the in-memory TraceSink behind `--trace-out`. Appends
 // every event to one flat tagged vector (emission order = simulation
-// order), interns job labels, and can reconstruct the legacy sched::Trace
-// exactly — unit events are emitted at the same dispatch point SimCore
-// fills SchedOptions::trace from, so unit_trace() is element-identical to
-// what the legacy pointer would have captured.
+// order), interns job labels, and rebuilds the flat per-unit sched::Trace
+// from the unit events — SimCore emits one at every dispatch, so
+// unit_trace() holds one record per executed unit, in dispatch order.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +60,8 @@ class EventRecorder final : public TraceSink {
     return counts_[std::size_t(kind)];
   }
 
-  /// The legacy flat unit trace, in emission order — element-identical to
-  /// what a `SchedOptions::trace` pointer captures from the same run.
+  /// The flat unit trace (one TraceEvent per executed unit), in emission
+  /// order — the input of validate_trace and utilization_timeline.
   Trace unit_trace() const;
 
   /// Forgets all events and labels (capacity retained).

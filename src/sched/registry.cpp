@@ -102,7 +102,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
 SchedStats run_scheduler(const std::string& name, const StrandGraph& g,
                          const Pmh& machine, const SchedOptions& opts) {
   const auto policy = make_scheduler(name, opts);
-  SimCore core(g, machine, opts);
+  const CondensedDag dag(g, level_cache_sizes(machine), opts.sigma);
+  SimCore core(dag, machine, opts);
   return core.run(*policy);
 }
 

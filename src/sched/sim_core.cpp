@@ -5,28 +5,6 @@
 
 namespace ndf {
 
-SimCore::SimCore(const StrandGraph& g, const Pmh& machine,
-                 const SchedOptions& opts)
-    : owned_(std::make_unique<CondensedDag>(g, level_cache_sizes(machine),
-                                            opts.sigma)),
-      dag_(owned_.get()),
-      m_(&machine),
-      opts_(opts) {
-  init_run_state();
-}
-
-SimCore::SimCore(const CondensedDag& dag, const Pmh& machine,
-                 const SchedOptions& opts)
-    : dag_(&dag), m_(&machine), opts_(opts) {
-  NDF_CHECK_MSG(dag_->compatible_with(*m_, opts_.sigma),
-                "CondensedDag(sigma=" << dag_->sigma() << ", "
-                                      << dag_->num_levels()
-                                      << " levels) does not match machine "
-                                      << m_->to_string() << " at sigma "
-                                      << opts_.sigma);
-  init_run_state();
-}
-
 void SimCore::reset(const CondensedDag& dag, const Pmh& machine,
                     const SchedOptions& opts) {
   NDF_CHECK_MSG(dag.compatible_with(machine, opts.sigma),
@@ -35,9 +13,6 @@ void SimCore::reset(const CondensedDag& dag, const Pmh& machine,
                                       << " levels) does not match machine "
                                       << machine.to_string() << " at sigma "
                                       << opts.sigma);
-  // Rebinding to an external dag drops the privately built one (if any);
-  // rebinding to the owned dag itself keeps it alive.
-  if (owned_ && owned_.get() != &dag) owned_.reset();
   dag_ = &dag;
   m_ = &machine;
   opts_ = opts;
@@ -248,10 +223,6 @@ void SimCore::dispatch(double now) {
     // above its processor at unit start. Observational only — duration was
     // already fixed by the policy's charge model above.
     if (occ_) touch_unit(p, a.unit);
-    if (opts_.trace)
-      opts_.trace->push_back(TraceEvent{now, now + a.duration,
-                                        static_cast<std::uint32_t>(p),
-                                        dag_->unit_root(a.unit)});
     if (opts_.sink != nullptr) {
       opts_.sink->on_queue_wait(ready_at_[std::size_t(a.unit)], now,
                                 static_cast<std::uint32_t>(p), a.unit);
@@ -267,9 +238,6 @@ void SimCore::dispatch(double now) {
 SchedStats SimCore::run(Scheduler& policy) {
   policy_ = &policy;
   policy.init(*this);
-#ifndef NDEBUG
-  const std::size_t trace_mark = opts_.trace ? opts_.trace->size() : 0;
-#endif
 
   // Dependence counters start from the dag's precomputed template (one
   // external arrow per edge crossing a maximal task boundary, at every
@@ -332,17 +300,6 @@ SchedStats SimCore::run(Scheduler& policy) {
   }
   stats_.utilization =
       now > 0 ? busy_time_ / (double(m_->num_processors()) * now) : 1.0;
-#ifndef NDEBUG
-  // Debug-mode invariant on every traced run: the unit timeline this run
-  // appended must be a valid schedule.
-  if (opts_.trace) {
-    const Trace slice(opts_.trace->begin() + std::ptrdiff_t(trace_mark),
-                      opts_.trace->end());
-    std::string msg;
-    NDF_CHECK_MSG(validate_trace(slice, m_->num_processors(), &msg),
-                  policy.name() << " produced an invalid trace: " << msg);
-  }
-#endif
   return stats_;
 }
 

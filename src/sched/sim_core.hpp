@@ -11,17 +11,16 @@
 //
 // The static half of the machinery — decompositions, unit work, dependence
 // templates — lives in an immutable CondensedDag. SimCore is the cheap
-// per-run half: mutable counters, the event queue, and stats. Construct one
-// SimCore either from a graph+machine (builds a private CondensedDag, the
-// historical interface) or from a shared CondensedDag so a sweep reuses one
-// condensation across policies and machines (the src/exp/ subsystem's fast
-// path). One instance is reusable across runs: reset(dag, machine, opts)
-// rebinds it and restores every counter arena from the dag's templates
-// while keeping all buffer capacity — the sweep engine runs thousands of
-// grid cells through one worker-local core with zero per-cell allocation
-// churn (mutable state lives in flat arenas, the event queue is a plain
-// vector-heap, and the distributed duration table is cached across runs
-// that share a (dag, machine, charge) binding).
+// per-run half: mutable counters, the event queue, and stats. A SimCore
+// runs on a borrowed CondensedDag, so a sweep reuses one condensation
+// across policies and machines; one-shot callers build a local dag (as
+// run_scheduler does). One instance is reusable across runs:
+// reset(dag, machine, opts) rebinds it and restores every counter arena
+// from the dag's templates while keeping all buffer capacity — the sweep
+// engine runs thousands of grid cells through one worker-local core with
+// zero per-cell allocation churn (mutable state lives in flat arenas, the
+// event queue is a plain vector-heap, and the distributed duration table
+// is cached across runs that share a (dag, machine, charge) binding).
 //
 // The split keeps policies small: SB is anchoring/boundedness/allocation,
 // WS is victim selection plus the footprint-reload cache model, greedy and
@@ -37,7 +36,6 @@
 #include "pmh/machine.hpp"
 #include "pmh/occupancy.hpp"
 #include "sched/condensed_dag.hpp"
-#include "sched/trace.hpp"
 
 namespace ndf {
 
@@ -75,7 +73,6 @@ struct SchedOptions {
   /// same workload share keys and can hit lines left warm by earlier jobs.
   /// Irrelevant (and zero) outside service mode.
   std::int64_t occ_task_base = 0;
-  Trace* trace = nullptr;     ///< optional per-unit execution trace sink
   /// Structured event sink (obs/events.hpp): unit executions, dispatch-
   /// queue waits, and — because attaching a sink turns the occupancy
   /// simulation on even without measure_misses — cache hit/miss/evict/
@@ -181,15 +178,12 @@ class Scheduler {
 /// The shared simulator. Construct per run, then call run(policy).
 class SimCore {
  public:
-  /// Builds a private condensation for this one run (graph × machine sizes
-  /// × opts.sigma). The historical interface; sweeps prefer the shared-dag
-  /// constructor below.
-  SimCore(const StrandGraph& g, const Pmh& machine, const SchedOptions& opts);
-
   /// Runs on a shared, externally owned condensation. `dag` must outlive
   /// the core and be compatible with (machine, opts.sigma) — checked.
   SimCore(const CondensedDag& dag, const Pmh& machine,
-          const SchedOptions& opts);
+          const SchedOptions& opts) {
+    reset(dag, machine, opts);
+  }
 
   /// Rebinds this core to (dag, machine, opts) and restores all per-run
   /// state from the dag's templates, as if freshly constructed — but every
@@ -299,9 +293,8 @@ class SimCore {
   void push_event(const Ev& e);
   Ev pop_event();
 
-  std::unique_ptr<CondensedDag> owned_;  // only set by the building ctor
-  const CondensedDag* dag_;
-  const Pmh* m_;
+  const CondensedDag* dag_ = nullptr;
+  const Pmh* m_ = nullptr;
   SchedOptions opts_;  // by value: a temporary argument must not dangle
   Scheduler* policy_ = nullptr;
   bool ready_hooks_enabled_ = false;

@@ -6,12 +6,11 @@
 #include <memory>
 #include <utility>
 
-#include "obs/progress.hpp"
+#include "exp/grid.hpp"
 #include "pmh/presets.hpp"
 #include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
 #include "sched/sim_core.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ndf::serve {
 
@@ -22,13 +21,12 @@ namespace {
 // used to live here.
 using obs::nearest_rank;
 
-/// The resolved, deterministic inputs every cell shares: built workloads,
-/// job streams with workload/tenant ids resolved, and the occupancy
-/// namespace geometry. Immutable during the fan-out.
+/// The resolved, deterministic inputs every cell shares: job streams with
+/// workload/tenant ids resolved, and the occupancy namespace geometry.
+/// Immutable during the fan-out.
 struct StreamPlan {
   /// Distinct workloads across the stream + mix, by first use.
   std::vector<exp::WorkloadSpec> specs;
-  std::vector<std::unique_ptr<exp::Workload>> built;
   std::vector<std::size_t> job_widx;  ///< open jobs: workload index
   std::vector<std::size_t> mix_widx;  ///< closed mix: workload index
   /// Open jobs: tenant id by first appearance in the (sorted) input
@@ -60,7 +58,6 @@ StreamPlan plan_stream(const ServeScenario& s) {
     plan.mix_widx.push_back(plan.intern(w, by_label));
   plan.num_tenants =
       s.closed ? s.closed->clients : std::max<std::size_t>(tenant_ids.size(), 1);
-  plan.built.resize(plan.specs.size());
   return plan;
 }
 
@@ -335,12 +332,6 @@ class CellRunner {
   double cum_comm_ = 0.0;
 };
 
-/// One cell's result, padded to a cache line: adjacent slots are written
-/// by different workers (exp/sweep.cpp, ResultSlot).
-struct alignas(64) CellSlot {
-  ServeCell cell;
-};
-
 }  // namespace
 
 std::size_t serve_grid_size(const ServeScenario& s) {
@@ -401,120 +392,57 @@ void validate(const ServeScenario& s) {
 
 const std::vector<ServeCell>& ServeSweep::run() {
   if (ran_) return results_;
-  results_.clear();
-  condensations_ = 0;
   validate(scenario_);
 
   std::vector<Pmh> machines;
   machines.reserve(scenario_.machines.size());
   for (const std::string& spec : scenario_.machines)
     machines.push_back(make_pmh(spec));
+  const exp::CacheProfiles profiles = exp::cache_profiles(machines);
+  const StreamPlan plan = plan_stream(scenario_);
 
-  try {
-    StreamPlan plan = plan_stream(scenario_);
+  // Every cell serves the same stream, so every (σ, profile) pair needs
+  // every workload's condensation: the key table is dense, profile-major.
+  const std::size_t W = plan.specs.size();
+  const std::size_t S = scenario_.sigmas.size();
+  const std::size_t P = scenario_.policies.size();
+  exp::GridPlan gp;
+  gp.name = scenario_.name;
+  gp.progress = scenario_.progress;
+  gp.jobs = jobs_;
+  gp.workloads = plan.specs;
+  gp.sigmas = scenario_.sigmas;
+  for (const std::vector<double>& sizes : profiles.sizes)
+    for (std::size_t g = 0; g < S; ++g)
+      for (std::size_t w = 0; w < W; ++w) gp.keys.push_back({w, g, sizes});
+  gp.cells = serve_grid_size(scenario_);
 
-    // Dedupe machine cache profiles (plan_condensations' trick): dags are
-    // keyed by (workload, σ, profile), so machines sharing a profile share
-    // every condensation.
-    std::vector<std::vector<double>> profiles;
-    std::vector<std::size_t> machine_profile(machines.size());
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      std::vector<double> sizes = level_cache_sizes(machines[m]);
-      std::size_t p = 0;
-      while (p < profiles.size() && profiles[p] != sizes) ++p;
-      if (p == profiles.size()) profiles.push_back(std::move(sizes));
-      machine_profile[m] = p;
-    }
+  exp::GridResult<ServeCell> r = exp::run_grid<ServeCell>(
+      gp, [&](const exp::GridDags& dags, std::size_t b, std::size_t e,
+              exp::CellSlots<ServeCell>& out) {
+        std::vector<const CondensedDag*> cell_dags(W);
+        for (std::size_t i = b; i < e; ++i) {
+          // Grid order: machine-major, then σ, then policy.
+          const std::size_t m = i / (S * P);
+          const std::size_t g = (i / P) % S;
+          const std::size_t base = (profiles.of_machine[m] * S + g) * W;
+          for (std::size_t w = 0; w < W; ++w)
+            cell_dags[w] = dags[base + w].get();
+          ServeCell cell;
+          cell.machine = scenario_.machines[m];
+          // Cell 0 (one cell, one worker) carries the trace sink.
+          CellRunner(scenario_, plan, machines[m], scenario_.sigmas[g],
+                     scenario_.policies[i % P], cell_dags,
+                     i == 0 ? scenario_.trace_sink : nullptr)
+              .run(cell);
+          out.put(i, std::move(cell));
+        }
+      });
 
-    const std::size_t W = plan.specs.size();
-    const std::size_t S = scenario_.sigmas.size();
-    const std::size_t cells = serve_grid_size(scenario_);
-    const std::size_t jobs =
-        std::min(jobs_ == 0 ? ThreadPool::default_jobs() : jobs_,
-                 std::max<std::size_t>(cells, 1));
-
-    // Every cell serves the same stream, so every (σ, profile) pair needs
-    // every workload's condensation: the dag table is dense, profile-major.
-    std::vector<std::unique_ptr<CondensedDag>> dags(profiles.size() * S * W);
-    std::vector<CellSlot> slots(cells);
-    obs::ProgressMeter progress(scenario_.progress, scenario_.name);
-    ThreadPool pool(jobs);  // after the data its tasks touch (exp/sweep.cpp)
-
-    // Phase 1: build each distinct workload once, in parallel.
-    {
-      progress.begin_phase("workloads", W);
-      std::vector<std::future<void>> futs;
-      futs.reserve(W);
-      for (std::size_t w = 0; w < W; ++w)
-        futs.push_back(pool.submit([w, &plan, &progress] {
-          plan.built[w] = std::make_unique<exp::Workload>(plan.specs[w]);
-          progress.tick();
-        }));
-      wait_all(futs);
-      progress.finish();
-    }
-
-    // Phase 2: build each (workload, σ, profile) condensation once.
-    {
-      progress.begin_phase("condensations", dags.size());
-      std::vector<std::future<void>> futs;
-      futs.reserve(dags.size());
-      for (std::size_t p = 0; p < profiles.size(); ++p)
-        for (std::size_t g = 0; g < S; ++g)
-          for (std::size_t w = 0; w < W; ++w) {
-            const std::size_t k = (p * S + g) * W + w;
-            futs.push_back(pool.submit([this, k, p, g, w, &plan, &profiles,
-                                        &dags, &progress] {
-              dags[k] = std::make_unique<CondensedDag>(
-                  plan.built[w]->graph(), profiles[p], scenario_.sigmas[g]);
-              progress.tick();
-            }));
-          }
-      wait_all(futs);
-      progress.finish();
-    }
-
-    // Phase 3: fan the cells out; each writes only its own padded slot, so
-    // the merged vector is in grid order and output is byte-identical at
-    // any worker count.
-    progress.begin_phase("cells", cells);
-    parallel_for_chunks(
-        pool, cells, 4 * jobs,
-        [this, S, W, &plan, &machines, &machine_profile, &dags, &slots,
-         &progress](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            // Grid order: machine-major, then σ, then policy.
-            const std::size_t m = i / (S * scenario_.policies.size());
-            const std::size_t g =
-                (i / scenario_.policies.size()) % S;
-            const std::size_t p = i % scenario_.policies.size();
-            const std::size_t base = (machine_profile[m] * S + g) * W;
-            std::vector<const CondensedDag*> cell_dags(W);
-            for (std::size_t w = 0; w < W; ++w)
-              cell_dags[w] = dags[base + w].get();
-            slots[i].cell.machine = scenario_.machines[m];
-            // Cell 0 (one cell, one worker) carries the trace sink.
-            CellRunner runner(scenario_, plan, machines[m],
-                              scenario_.sigmas[g], scenario_.policies[p],
-                              cell_dags,
-                              i == 0 ? scenario_.trace_sink : nullptr);
-            runner.run(slots[i].cell);
-            progress.tick();
-          }
-        });
-    progress.finish();
-
-    results_.reserve(cells);
-    for (CellSlot& s : slots) results_.push_back(std::move(s.cell));
-    condensations_ = dags.size();
-  } catch (...) {
-    // A failed run leaves the object as if run() was never called
-    // (exp/sweep.cpp's contract).
-    results_.clear();
-    condensations_ = 0;
-    throw;
-  }
-
+  // Stored only now: a failed run leaves the object as if run() was never
+  // called (exp/grid.hpp's failure contract).
+  results_ = std::move(r.cells);
+  condensations_ = gp.keys.size();
   ran_ = true;
   return results_;
 }

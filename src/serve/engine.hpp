@@ -24,10 +24,11 @@
 // attributable to that tenant's job, directly comparable against the
 // job's own Q* bound.
 //
-// The grid (machines × σ × policies) mirrors src/exp: cells sharing a
-// (workload, σ, cache-profile) share one condensation, cells fan out over
-// a thread pool, each cell writes only its own pre-sized slot, and output
-// is byte-identical at every `jobs` worker count (tested, CI-gated).
+// The grid (machines × σ × policies) runs on the same grid runner as
+// src/exp (exp/grid.hpp): cells sharing a (workload, σ, cache-profile)
+// share one condensation, cells fan out in chunks, each cell writes only
+// its own pre-sized slot, and output is byte-identical at every `jobs`
+// worker count (tested, CI-gated).
 #pragma once
 
 #include <cstddef>
@@ -141,13 +142,12 @@ void validate(const ServeScenario& s);
 
 /// The serve runner. Expands machines × σ × policies, builds each distinct
 /// workload and each (workload, σ, cache-profile) condensation exactly
-/// once, then executes every cell's full service simulation — on a thread
-/// pool when `jobs` allows, with byte-identical results at any worker
-/// count.
+/// once, then executes every cell's full service simulation through the
+/// grid runner, with byte-identical results at any worker count.
 class ServeSweep {
  public:
-  /// `jobs` is the cell-execution worker count: 0 = hardware concurrency,
-  /// 1 = serial; clamped to the cell count.
+  /// `jobs` is the worker count: 0 = hardware concurrency, 1 = everything
+  /// on the calling thread; clamped to the cell count.
   explicit ServeSweep(ServeScenario s, std::size_t jobs = 0)
       : scenario_(std::move(s)), jobs_(jobs) {}
 

@@ -10,12 +10,13 @@
 //       and all four policies (occupancy layer included)
 //   X5  the repeat axis varies only the seed, deterministically
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
-//   X7  the parallel engine: a mid-size grid at --jobs=1/2/8 produces
+//   X7  the grid runner: a mid-size grid at --jobs=1/2/8 produces
 //       byte-identical table/JSON/CSV output (with and without measured
 //       misses) and the same condensation count, the condensation plan
-//       matches the serial cache walk, and phase times account for the run
-//   X8  parallel failures surface as the same loud CheckErrors serial ones
-//       do, without poisoning the Sweep into a fake empty success — a
+//       lists keys in first-use grid order, phase times account for the
+//       run, and worker stats exist exactly when a pool ran
+//   X8  failures inside the runner surface as loud CheckErrors at every
+//       --jobs, without poisoning the Sweep into a fake empty success — a
 //       failed run reports zero condensations and retries from scratch
 #include <gtest/gtest.h>
 
@@ -444,13 +445,12 @@ TEST(Sweep, ParallelBuildsEachCondensationExactlyOnce) {  // X7
   const std::size_t before = CondensedDag::total_builds();
   const auto& runs = sweep.run();
   EXPECT_EQ(runs.size(), 24u);
-  // One per σ, shared by all machines and policies — the same count the
-  // serial runner's rolling cache reports.
+  // One per σ, shared by all machines and policies.
   EXPECT_EQ(CondensedDag::total_builds(), before + 2);
   EXPECT_EQ(sweep.condensations_built(), 2u);
 }
 
-TEST(Scenario, CondensationPlanMatchesSerialCacheWalk) {  // X7
+TEST(Scenario, CondensationPlanKeysFollowFirstUse) {  // X7
   const exp::Scenario s = small_scenario();
   std::vector<Pmh> machines;
   for (const std::string& spec : s.machines)
@@ -462,13 +462,13 @@ TEST(Scenario, CondensationPlanMatchesSerialCacheWalk) {  // X7
   EXPECT_EQ(plan.keys.size(), 8u);
   ASSERT_EQ(plan.cell.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const exp::CondensationPlan::Key& k = plan.keys[plan.cell[i]];
+    const exp::CondensationKey& k = plan.keys[plan.cell[i]];
     EXPECT_EQ(k.workload, grid[i].workload);
     EXPECT_EQ(k.sigma, grid[i].sigma);
     EXPECT_EQ(k.sizes, level_cache_sizes(machines[grid[i].machine]));
   }
-  // Keys appear in first-use grid order, so the serial walk and the plan
-  // agree not just on the count but on the build sequence.
+  // Keys appear in first-use grid order: each cell names either a key an
+  // earlier cell already used or the next new one.
   std::size_t seen = 0;
   for (const std::size_t c : plan.cell)
     if (c == seen) ++seen;
@@ -504,12 +504,51 @@ TEST(Sweep, WorkerFailureSurfacesLoudlyAndDoesNotPoison) {  // X8
   EXPECT_TRUE(sweep.results().empty());
   EXPECT_EQ(sweep.condensations_built(), 0u);
 
-  // Same failure on the serial path: identical post-throw state.
-  exp::Sweep serial(s, 1);
-  EXPECT_THROW(serial.run(), CheckError);
-  EXPECT_THROW(serial.run(), CheckError);
-  EXPECT_TRUE(serial.results().empty());
-  EXPECT_EQ(serial.condensations_built(), 0u);
+  // Same failure on the calling thread (jobs = 1): identical post-throw
+  // state.
+  exp::Sweep inline_sweep(s, 1);
+  EXPECT_THROW(inline_sweep.run(), CheckError);
+  EXPECT_THROW(inline_sweep.run(), CheckError);
+  EXPECT_TRUE(inline_sweep.results().empty());
+  EXPECT_EQ(inline_sweep.condensations_built(), 0u);
+}
+
+TEST(Sweep, BuildFailureLeavesNothingBehindAtEveryJobs) {  // X8
+  // The spec parses; only elaborating it fails (wavefront n is capped at
+  // 128), so the throw comes from the grid runner's build phase.
+  exp::Scenario s;
+  s.workloads = exp::parse_workload_list("mm:n=8;gen:family=wavefront,n=256");
+  s.machines = {"flat8"};
+  s.policies = {"sb", "ws"};
+  for (const std::size_t jobs : {1u, 2u}) {
+    exp::Sweep sweep(s, jobs);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        sweep.run();
+        FAIL() << "expected CheckError at jobs=" << jobs;
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("[1, 128]"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(sweep.results().empty()) << jobs << " jobs";
+      EXPECT_EQ(sweep.condensations_built(), 0u) << jobs << " jobs";
+      EXPECT_TRUE(sweep.worker_stats().empty()) << jobs << " jobs";
+    }
+  }
+}
+
+TEST(Sweep, WorkerStatsCountThePoolWorkers) {  // X7
+  const exp::Scenario s = small_scenario();
+  exp::Sweep inline_sweep(s, 1);
+  inline_sweep.run();
+  EXPECT_TRUE(inline_sweep.worker_stats().empty());  // no pool at jobs = 1
+  exp::Sweep pooled(s, 2);
+  pooled.run();
+  ASSERT_EQ(pooled.worker_stats().size(), 2u);
+  std::size_t tasks = 0;
+  for (const ThreadPool::WorkerStats& w : pooled.worker_stats())
+    tasks += w.tasks;
+  EXPECT_GT(tasks, 0u);
 }
 
 TEST(Report, EmittersProduceWellFormedOutput) {  // X6

@@ -2,9 +2,9 @@
 //   O1  metrics: nearest_rank matches the legacy inline percentile formula;
 //       Log2Histogram bucket edges, zero bucket, the exact ≤ p < 2·exact
 //       percentile bound, merge, and JSON emission; registry determinism
-//   O2  recorder: the event stream's unit trace is element-identical to a
-//       legacy SchedOptions::trace capture of the SAME run; event counts
-//       match the run's stats; queue waits are causally ordered
+//   O2  recorder: the event stream's unit trace covers every unit and is
+//       a valid schedule; event counts match the run's stats; queue waits
+//       are causally ordered
 //   O3  tracing is observational: sweep and serve emitter output is
 //       byte-identical with a sink attached and without, at --jobs=1 and 4,
 //       and the recorded stream itself is identical at every worker count
@@ -141,27 +141,19 @@ TEST(Metrics, RegistryJsonIsDeterministic) {  // O1
 
 // ---------------------------------------------------------------- O2 ----
 
-TEST(Recorder, UnitTraceIsIdenticalToLegacyCapture) {  // O2
+TEST(Recorder, UnitTraceCoversEveryUnitAndIsValid) {  // O2
   SpawnTree t = make_lcs_tree(128, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 256, 5));
-  Trace legacy;
   obs::EventRecorder rec;
   SchedOptions opts;
-  opts.trace = &legacy;  // both captures attached to the SAME run
   opts.sink = &rec;
   const SchedStats s = run_scheduler("sb", g, m, opts);
 
   EXPECT_EQ(rec.count(obs::Event::Kind::kUnit), s.atomic_units);
   EXPECT_EQ(rec.count(obs::Event::Kind::kWait), s.atomic_units);
   const Trace from_events = rec.unit_trace();
-  ASSERT_EQ(from_events.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(from_events[i].start, legacy[i].start) << i;
-    EXPECT_DOUBLE_EQ(from_events[i].end, legacy[i].end) << i;
-    EXPECT_EQ(from_events[i].proc, legacy[i].proc) << i;
-    EXPECT_EQ(from_events[i].unit_root, legacy[i].unit_root) << i;
-  }
+  EXPECT_EQ(from_events.size(), s.atomic_units);
   std::string msg;
   EXPECT_TRUE(validate_trace(from_events, m.num_processors(), &msg)) << msg;
 }

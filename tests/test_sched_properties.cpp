@@ -19,7 +19,9 @@
 #include "algos/trs.hpp"
 #include "analysis/pcc.hpp"
 #include "nd/drs.hpp"
+#include "obs/recorder.hpp"
 #include "sched/sb_scheduler.hpp"
+#include "sched/trace.hpp"
 #include "sched/ws_scheduler.hpp"
 
 namespace ndf {
@@ -91,10 +93,11 @@ TEST_P(SchedProperty, TraceConsistentWithStats) {  // S4
   SpawnTree t = c().make();
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, c().M1, 7));
-  Trace trace;
+  obs::EventRecorder rec;
   SchedOptions o;
-  o.trace = &trace;
+  o.sink = &rec;
   const SchedStats s = run_sb_scheduler(g, m, o);
+  const Trace trace = rec.unit_trace();
   std::string msg;
   ASSERT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
   double busy = 0.0;

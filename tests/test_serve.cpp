@@ -23,7 +23,9 @@
 //       per-job deltas sum to the cell totals, and a tenant's repeat job
 //       benefits from its own warm lines
 //   V8  scenario validation: unknown policies, stream conflicts and
-//       out-of-range parameters fail loudly
+//       out-of-range parameters fail loudly; a workload that fails to
+//       build leaves no results and no build count at --jobs=1 and 2, and
+//       a second run() throws again
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -202,10 +204,11 @@ TEST(EdfPolicy, BatchStatsBitIdenticalToGreedy) {  // V4
     const Pmh m = make_pmh(machine);
     SchedOptions opts;
     opts.measure_misses = true;
-    SimCore core(w.graph(), m, opts);
+    const CondensedDag dag(w.graph(), level_cache_sizes(m), opts.sigma);
+    SimCore core(dag, m, opts);
     const auto edf = make_scheduler("edf", opts);
     const SchedStats a = core.run(*edf);
-    SimCore fresh(w.graph(), m, opts);
+    SimCore fresh(dag, m, opts);
     const auto greedy = make_scheduler("greedy", opts);
     const SchedStats b = fresh.run(*greedy);
     EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << machine;
@@ -239,8 +242,10 @@ TEST(ServeEngine, SingleJobEqualsBatchMakespan) {  // V5
   // The same (workload, machine, σ, policy) as a batch run.
   const exp::Workload w(exp::parse_workload("mm:n=32"));
   const Pmh m = make_pmh("flat16");
-  SimCore core(w.graph(), m, SchedOptions{});
-  const auto sb = make_scheduler("sb", SchedOptions{});
+  const SchedOptions opts;
+  const CondensedDag dag(w.graph(), level_cache_sizes(m), opts.sigma);
+  SimCore core(dag, m, opts);
+  const auto sb = make_scheduler("sb", opts);
   const SchedStats batch = core.run(*sb);
 
   EXPECT_DOUBLE_EQ(rec.service, batch.makespan);
@@ -407,6 +412,24 @@ TEST(ServeEngine, PerJobMeasuredMissAttribution) {  // V7
         << l;
   EXPECT_DOUBLE_EQ(cells[0].summary.comm_cost,
                    j0.comm_cost + j1.comm_cost + j2.comm_cost);
+}
+
+TEST(ServeEngine, BuildFailureLeavesNothingBehindAtEveryJobs) {  // V8
+  // The spec parses; only elaborating it fails (wavefront n is capped at
+  // 128), so the throw comes from the grid runner's build phase.
+  ServeScenario s = trace_scenario(
+      "0 a mm:n=8\n0 b gen:family=wavefront,n=256\n", "sb");
+  s.policies = {"sb", "edf"};
+  for (const std::size_t jobs : {1u, 2u}) {
+    ServeSweep sweep(s, jobs);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      EXPECT_NE(check_error_of([&] { sweep.run(); }).find("[1, 128]"),
+                std::string::npos)
+          << jobs << " jobs";
+      EXPECT_TRUE(sweep.results().empty()) << jobs << " jobs";
+      EXPECT_EQ(sweep.condensations_built(), 0u) << jobs << " jobs";
+    }
+  }
 }
 
 TEST(ServeEngine, ValidationIsLoud) {  // V8

@@ -4,6 +4,7 @@
 #include "algos/lcs.hpp"
 #include "algos/trs.hpp"
 #include "nd/drs.hpp"
+#include "obs/recorder.hpp"
 #include "sched/sb_scheduler.hpp"
 #include "sched/trace.hpp"
 #include "sched/ws_scheduler.hpp"
@@ -17,10 +18,11 @@ TEST(TraceTest, SbTraceIsValidAndCoversAllUnits) {
   SpawnTree t = make_lcs_tree(128, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 256, 5));
-  Trace trace;
+  obs::EventRecorder rec;
   SchedOptions opts;
-  opts.trace = &trace;
+  opts.sink = &rec;
   const SchedStats s = run_sb_scheduler(g, m, opts);
+  const Trace trace = rec.unit_trace();
   EXPECT_EQ(trace.size(), s.atomic_units);
   std::string msg;
   EXPECT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
@@ -34,10 +36,11 @@ TEST(TraceTest, WsTraceIsValid) {
   SpawnTree t = make_trs_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 512, 5));
-  Trace trace;
+  obs::EventRecorder rec;
   SchedOptions opts;
-  opts.trace = &trace;
+  opts.sink = &rec;
   const SchedStats s = run_ws_scheduler(g, m, opts);
+  const Trace trace = rec.unit_trace();
   EXPECT_EQ(trace.size(), s.atomic_units);
   std::string msg;
   EXPECT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
