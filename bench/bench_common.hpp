@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -35,23 +34,10 @@
 
 namespace ndf::bench {
 
-/// A driver's main(): runs `body` (returning the exit code) and turns a
-/// CheckError — a bad flag, a bad spec, any failed precondition — into
-/// one stderr line `<driver>: <message>` and exit code 2, instead of the
-/// abort an uncaught exception ends in. `argv0` names the driver.
-template <typename Body>
-int run_main(const char* argv0, Body&& body) {
-  try {
-    return body();
-  } catch (const CheckError& e) {
-    std::string driver = argv0 ? argv0 : "bench";
-    driver = driver.substr(driver.find_last_of('/') + 1);
-    std::string msg = e.what();
-    std::replace(msg.begin(), msg.end(), '\n', ' ');
-    std::cerr << driver << ": " << msg << "\n";
-    return 2;
-  }
-}
+// The drivers' main() wrapper and flag check live in support/args.hpp so
+// the examples share them.
+using ::ndf::reject_unknown_flags;
+using ::ndf::run_main;
 
 /// `--sched=<name>` for benches that run exactly one policy; validated
 /// against the registry (the error lists the registered names).
@@ -78,20 +64,6 @@ inline std::size_t jobs_flag(const Args& args) {
 /// legacy stdout/JSON/CSV stay byte-identical (see docs/metrics.md).
 inline bool misses_flag(const Args& args) {
   return args.get("misses", false);
-}
-
-/// Rejects unknown `--flags` loudly: a typo'd axis must not silently run
-/// the default grid and emit a plausible-looking but wrong artifact.
-/// `allowed` is the driver's full flag set; `hint` says where the flags
-/// are documented.
-inline void reject_unknown_flags(const Args& args,
-                                 std::initializer_list<const char*> allowed,
-                                 const std::string& hint) {
-  for (const std::string& name : args.names()) {
-    bool known = false;
-    for (const char* a : allowed) known = known || name == a;
-    NDF_CHECK_MSG(known, "unknown flag --" << name << " (" << hint << ")");
-  }
 }
 
 /// Comma-separated doubles for an axis flag (`--sigma=0.2,0.33`).

@@ -5,8 +5,8 @@
 // JSON / CSV. Deadline-aware policies (`edf`) admit queued jobs earliest-
 // deadline-first; everything else admits in arrival order.
 //
-//   ndf_serve --arrivals='poisson:rate=0.001,jobs=40,tenants=4' \
-//             --workloads='mm:n=32;gen:family=sp,depth=6,fan=3,seed=7' \
+//   ndf_serve --arrivals='poisson:rate=0.001,jobs=40,tenants=4'
+//             --workloads='mm:n=32;gen:family=sp,depth=6,fan=3,seed=7'
 //             --machines=flat16 --sched=sb,edf --json=BENCH_serve.json
 //   ndf_serve --trace=jobs.trace --machines=deep2x4 --sched=edf
 //

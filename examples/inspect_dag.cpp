@@ -8,6 +8,8 @@
 // With --dot, prints the Graphviz sources (pipe into `dot -Tsvg`).
 // With --sched, simulates the named registry policies on a flat PMH of
 // --p processors with --M1-word caches and tabulates makespan and misses.
+// An unknown flag or a bad value exits 2 with one `inspect_dag: <message>`
+// line on stderr.
 #include <iostream>
 
 #include "algos/cholesky.hpp"
@@ -23,8 +25,12 @@
 
 using namespace ndf;
 
-int main(int argc, char** argv) {
+namespace {
+
+int inspect(int argc, char** argv) {
   Args args(argc, argv);
+  reject_unknown_flags(args, {"algo", "n", "base", "dot", "sched", "p", "M1"},
+                       "see the header of examples/inspect_dag.cpp");
   const std::string algo = args.get("algo", std::string("lcs"));
   const std::size_t n = std::size_t(args.get("n", 64LL));
   const std::size_t base = std::size_t(args.get("base", 8LL));
@@ -95,4 +101,10 @@ int main(int argc, char** argv) {
     std::cout << "\n--- algorithm DAG (DOT) ---\n" << to_dot(nd);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argv[0], [&] { return inspect(argc, argv); });
 }

@@ -4,7 +4,8 @@
 # abort (`terminate called ...`, exit 134). Covers an unknown flag and a
 # bad spec for ndf_sweep, ndf_serve, ndf_native and bench_sb_vs_ws, plus
 # a spec that parses but fails when its workload is built (wavefront n is
-# capped at 128), which is thrown from inside the grid runner.
+# capped at 128), which is thrown from inside the grid runner, and the
+# examples/inspect_dag binary (when the examples are built).
 #
 # Usage: scripts/check_bad_input.sh <build-dir>   (ctest: bad_input_exits_2)
 set -u
@@ -42,5 +43,12 @@ expect_exit_2 "[1, 128]" ndf_sweep --workloads=gen:family=wavefront,n=256 \
     --machines=flat8
 expect_exit_2 "[1, 128]" ndf_serve --workloads=gen:family=wavefront,n=256 \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
+if [[ -x $BUILD_DIR/inspect_dag ]]; then
+  expect_exit_2 "unknown flag --bogus" inspect_dag --bogus
+  expect_exit_2 "flag --n is not an integer: abc" inspect_dag --n=abc
+  expect_exit_2 "unknown --algo=nope" inspect_dag --algo=nope
+else
+  echo "skip: inspect_dag not built (NDF_BUILD_EXAMPLES=OFF)"
+fi
 
 exit $failed

@@ -10,6 +10,7 @@ Decomposition decompose(const SpawnTree& tree, double M) {
 
   // Iterative DFS from the root; cut at the first node of size <= M.
   std::vector<NodeId> stack{tree.root()};
+  std::vector<NodeId> sub;
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
@@ -18,9 +19,8 @@ Decomposition decompose(const SpawnTree& tree, double M) {
     if (cut) {
       const int idx = static_cast<int>(d.maximal.size());
       d.maximal.push_back(n);
-      // Mark the whole maximal subtree.
-      for (NodeId m : tree.strands_under(n)) d.owner[m] = idx;
-      std::vector<NodeId> sub{n};
+      // Mark the whole maximal subtree, strands included.
+      sub.assign(1, n);
       while (!sub.empty()) {
         NodeId s = sub.back();
         sub.pop_back();

@@ -43,7 +43,7 @@ DeterminacyReport check_determinacy(const StrandGraph& g) {
     const SpawnNode& node = tree.node(n);
     if (node.kind == Kind::Strand &&
         (!node.reads.empty() || !node.writes.empty()) &&
-        tree.in_subtree(n, tree.root())) {
+        g.live(n)) {
       strand_ix[n] = static_cast<int>(strands.size());
       strands.push_back(n);
     }

@@ -36,7 +36,6 @@ double MaximalDag::longest_chain(const std::vector<double>& weights) const {
 }
 
 MaximalDag build_maximal_dag(const StrandGraph& g, const Decomposition& d) {
-  const SpawnTree& tree = g.tree();
   // Supernode mapping: vertex v of the strand graph -> supernode id.
   // Maximal task i -> i. Glue vertices get fresh ids after the maximals.
   const std::uint32_t nm = static_cast<std::uint32_t>(d.maximal.size());
@@ -48,7 +47,7 @@ MaximalDag build_maximal_dag(const StrandGraph& g, const Decomposition& d) {
     const int own = d.owner[n];
     if (own >= 0)
       super[v] = static_cast<std::uint32_t>(own);
-    else if (tree.in_subtree(n, tree.root()))
+    else if (g.live(n))
       super[v] = next++;
   }
 

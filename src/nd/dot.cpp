@@ -26,9 +26,9 @@ std::string node_label(const SpawnTree& t, NodeId n) {
 std::string to_dot(const SpawnTree& tree) {
   std::ostringstream os;
   os << "digraph spawn_tree {\n  node [shape=box, fontsize=10];\n";
-  const NodeId root = tree.root();
+  const std::vector<bool> live = tree.reachable();
   for (NodeId n = 0; n < tree.num_nodes(); ++n) {
-    if (!tree.in_subtree(n, root)) continue;
+    if (!live[n]) continue;
     os << "  n" << n << " [label=\"" << node_label(tree, n) << "\"";
     if (tree.node(n).kind == Kind::Strand) os << ", style=filled";
     os << "];\n";
@@ -44,10 +44,8 @@ std::string to_dot(const StrandGraph& g, std::size_t max_strands) {
   std::ostringstream os;
   os << "digraph algorithm_dag {\n  node [shape=ellipse, fontsize=10];\n";
   std::size_t strands = 0;
-  const NodeId root = tree.root();
   for (NodeId n = 0; n < tree.num_nodes(); ++n) {
-    if (tree.node(n).kind != Kind::Strand || !tree.in_subtree(n, root))
-      continue;
+    if (tree.node(n).kind != Kind::Strand || !g.live(n)) continue;
     NDF_CHECK_MSG(++strands <= max_strands,
                   "DAG too large for DOT export (limit " << max_strands
                                                          << " strands)");

@@ -1,34 +1,29 @@
 #include "nd/drs.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace ndf {
 
 namespace {
 
-/// Packs (src, dst, type) for the rewrite memo table. NodeIds are < 2^24 in
-/// any tree we build (checked below); types < 2^16.
-std::uint64_t memo_key(NodeId a, NodeId b, FireType t) {
-  return (std::uint64_t(a) << 40) | (std::uint64_t(b) << 16) |
-         std::uint64_t(std::uint16_t(t));
-}
+/// Marks an emitted edge whose solid arrow repeats an earlier one. No real
+/// vertex has this id (trees hold fewer than 2^31 nodes).
+constexpr VertexId kDropped = static_cast<VertexId>(-1);
 
 class Elaborator {
  public:
-  Elaborator(const SpawnTree& tree, ElabOptions opts, StrandGraph& g)
-      : tree_(tree), opts_(opts), g_(g) {}
+  Elaborator(const SpawnTree& tree, ElabOptions opts)
+      : tree_(tree), opts_(opts), live_(tree.reachable()) {}
 
-  void run() {
-    NDF_CHECK_MSG(tree_.num_nodes() < (1u << 24),
-                  "spawn tree too large for arrow memo keys");
-    const NodeId root = tree_.root();
-    // Structural + seq edges for every node.
+  StrandGraph run() && {
+    // Structural + seq edges for every node reachable from the root, in
+    // node-id order.
     for (NodeId n = 0; n < tree_.num_nodes(); ++n) {
-      if (!tree_.in_subtree(n, root)) continue;  // ignore detached nodes
+      if (!live_[n]) continue;  // ignore detached nodes
       const SpawnNode& node = tree_.node(n);
       switch (node.kind) {
         case Kind::Strand:
-          g_.add_edge(g_.enter(n), g_.exit(n));
+          edges_.push_back({StrandGraph::enter(n), StrandGraph::exit(n)});
           break;
         case Kind::Seq:
           link_children(n);
@@ -44,21 +39,24 @@ class Elaborator {
           break;
       }
     }
+    drop_repeated_arrows();
+    return StrandGraph(tree_, std::move(live_), edges_, std::move(arrows_));
   }
 
  private:
   void link_children(NodeId n) {
     for (NodeId c : tree_.node(n).children) {
-      g_.add_edge(g_.enter(n), g_.enter(c));
-      g_.add_edge(g_.exit(c), g_.exit(n));
+      edges_.push_back({StrandGraph::enter(n), StrandGraph::enter(c)});
+      edges_.push_back({StrandGraph::exit(c), StrandGraph::exit(n)});
     }
   }
 
   /// Emits the solid arrow a → b (full dependency between subtrees).
+  /// Repeats are emitted too and dropped once at the end.
   void solid(NodeId a, NodeId b) {
-    if (!seen_.insert(memo_key(a, b, FireRules::kFull)).second) return;
-    g_.add_edge(g_.exit(a), g_.enter(b));
-    g_.record_arrow(a, b);
+    arrow_edge_.push_back(edges_.size());
+    edges_.push_back({StrandGraph::exit(a), StrandGraph::enter(b)});
+    arrows_.push_back({a, b});
   }
 
   void rewrite(NodeId a, NodeId b, FireType type, int depth) {
@@ -68,7 +66,6 @@ class Elaborator {
       solid(a, b);
       return;
     }
-    if (!seen_.insert(memo_key(a, b, type)).second) return;
 
     const auto& rules = tree_.rules().rules(type);
     const bool a_strand = tree_.is_strand(a);
@@ -91,18 +88,64 @@ class Elaborator {
     }
   }
 
+  /// Keeps the first copy of every solid arrow (a, b) and drops later
+  /// repeats, both from arrows_ and from edges_ (two fire-rule paths may
+  /// reach the same pair of subtrees). Arrows are grouped by source with a
+  /// stable counting sort, so each group lists its arrows in emission
+  /// order and the first of equal targets is the one kept.
+  void drop_repeated_arrows() {
+    const std::size_t A = arrows_.size();
+    std::vector<std::uint32_t> start(tree_.num_nodes() + 1, 0);
+    for (const TaskArrow& t : arrows_) ++start[t.from + 1];
+    for (std::size_t n = 0; n < tree_.num_nodes(); ++n)
+      start[n + 1] += start[n];
+    std::vector<std::uint32_t> by_src(A);
+    {
+      std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+      for (std::uint32_t i = 0; i < A; ++i)
+        by_src[cursor[arrows_[i].from]++] = i;
+    }
+
+    bool any = false;
+    const auto drop = [&](std::uint32_t i) {
+      edges_[arrow_edge_[i]].from = kDropped;
+      any = true;
+    };
+    for (std::size_t n = 0; n < tree_.num_nodes(); ++n) {
+      const auto lo = by_src.begin() + start[n];
+      const auto hi = by_src.begin() + start[n + 1];
+      if (hi - lo < 2) continue;
+      // Ascending (target, index): each run of equal targets starts with
+      // its first copy.
+      std::sort(lo, hi, [&](std::uint32_t x, std::uint32_t y) {
+        return arrows_[x].to != arrows_[y].to ? arrows_[x].to < arrows_[y].to
+                                              : x < y;
+      });
+      for (auto it = lo + 1; it != hi; ++it)
+        if (arrows_[*it].to == arrows_[*(it - 1)].to) drop(*it);
+    }
+    if (!any) return;
+
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < A; ++i)
+      if (edges_[arrow_edge_[i]].from != kDropped) arrows_[k++] = arrows_[i];
+    arrows_.resize(k);
+    std::erase_if(edges_,
+                  [](const StrandEdge& e) { return e.from == kDropped; });
+  }
+
   const SpawnTree& tree_;
   ElabOptions opts_;
-  StrandGraph& g_;
-  std::unordered_set<std::uint64_t> seen_;
+  std::vector<bool> live_;
+  std::vector<StrandEdge> edges_;
+  std::vector<TaskArrow> arrows_;
+  std::vector<std::size_t> arrow_edge_;  ///< index in edges_ of each arrow
 };
 
 }  // namespace
 
 StrandGraph elaborate(const SpawnTree& tree, ElabOptions opts) {
-  StrandGraph g(tree);
-  Elaborator(tree, opts, g).run();
-  return g;
+  return Elaborator(tree, opts).run();
 }
 
 }  // namespace ndf

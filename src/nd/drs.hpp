@@ -12,6 +12,18 @@
 // Elaboration also adds the structural edges of the spawn tree itself
 // (enter(parent) → enter(child), exit(child) → exit(parent)) and the solid
 // arrows of Seq nodes.
+//
+// It runs in two passes and keeps no global rewrite memo:
+//   1. Emission: one walk over the nodes reachable from the root (marked
+//      once, top-down) in id order appends every edge to a flat list and
+//      every solid arrow to arrows(). Repeated rewrites are re-expanded;
+//      the only repeats that reach the output are solid arrows, and a
+//      later copy of a solid arrow (a, b) is dropped once at the end,
+//      keeping the first (a counting sort of the arrows by source, no hash
+//      table).
+//   2. CSR build: StrandGraph's constructor sorts the list by source
+//      (stably), so each vertex keeps its successors in emission order.
+// The only size cap is the 32-bit VertexId range (fewer than 2^31 nodes).
 #pragma once
 
 #include "nd/graph.hpp"

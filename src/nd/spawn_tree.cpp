@@ -122,6 +122,20 @@ bool SpawnTree::in_subtree(NodeId desc, NodeId anc) const {
   return false;
 }
 
+std::vector<bool> SpawnTree::reachable() const {
+  std::vector<bool> live(nodes_.size(), false);
+  const NodeId r = root();
+  live[r] = true;
+  for (NodeId n = r + 1; n-- > 0;) {
+    if (!live[n]) continue;
+    for (NodeId c : nodes_[n].children) {
+      NDF_DCHECK(c < n);
+      live[c] = true;
+    }
+  }
+  return live;
+}
+
 std::vector<NodeId> SpawnTree::strands_under(NodeId id) const {
   std::vector<NodeId> out;
   std::vector<NodeId> stack{id};

@@ -102,6 +102,11 @@ class SpawnTree {
   /// recursion-termination rule, Sec. 2).
   NodeId descend(NodeId id, const Pedigree& p) const;
 
+  /// Marks the nodes reachable from the root, in one top-down sweep (a
+  /// node's children are always created before it, so they have smaller
+  /// ids). Nodes created but never composed under the root stay unmarked.
+  std::vector<bool> reachable() const;
+
   /// True if `desc` lies in the subtree rooted at `anc` (inclusive).
   bool in_subtree(NodeId desc, NodeId anc) const;
 

@@ -19,7 +19,7 @@ std::vector<std::size_t> parallelism_profile(const StrandGraph& g) {
   }
   std::vector<std::size_t> hist(max_depth, 0);
   for (NodeId n = 0; n < tree.num_nodes(); ++n)
-    if (tree.node(n).kind == Kind::Strand && tree.in_subtree(n, tree.root()))
+    if (tree.node(n).kind == Kind::Strand && g.live(n))
       ++hist[depth[g.enter(n)]];  // depth *before* executing the strand
   return hist;
 }
@@ -28,7 +28,7 @@ DagStats compute_stats(const StrandGraph& g) {
   DagStats s;
   const SpawnTree& tree = g.tree();
   for (NodeId n = 0; n < tree.num_nodes(); ++n)
-    if (tree.node(n).kind == Kind::Strand && tree.in_subtree(n, tree.root()))
+    if (tree.node(n).kind == Kind::Strand && g.live(n))
       ++s.strands;
   s.edges = g.num_edges();
   s.work = g.work();

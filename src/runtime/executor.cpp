@@ -141,9 +141,7 @@ class Pool {
     for (VertexId v = 0; v < V; ++v)
       counts_[v].store(g_.in_degree(v), std::memory_order_relaxed);
     for (NodeId n = 0; n < tree_.num_nodes(); ++n)
-      if (tree_.node(n).kind == Kind::Strand &&
-          tree_.in_subtree(n, tree_.root()))
-        ++total_;
+      if (tree_.node(n).kind == Kind::Strand && g_.live(n)) ++total_;
     for (std::size_t i = 0; i < nthreads_; ++i)
       deques_.emplace_back(total_ + 1);
     stats_ = std::vector<PaddedStats>(nthreads_);

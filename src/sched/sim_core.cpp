@@ -155,7 +155,7 @@ void SimCore::fire_vertex(VertexId v) {
   if (fired_[v]) return;
   fired_[v] = 1;
   const StrandGraph& g = dag_->graph();
-  const std::vector<VertexId>& succ = g.successors(v);
+  const std::span<const VertexId> succ = g.successors(v);
   std::size_t e = dag_->edge_base(v);
   for (std::size_t i = 0; i < succ.size(); ++i, ++e) {
     const VertexId w = succ[i];

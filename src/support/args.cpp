@@ -60,4 +60,14 @@ bool Args::get(const std::string& name, bool dflt) const {
   return it->second == "true";
 }
 
+void reject_unknown_flags(const Args& args,
+                          std::initializer_list<const char*> allowed,
+                          const std::string& hint) {
+  for (const std::string& name : args.names()) {
+    bool known = false;
+    for (const char* a : allowed) known = known || name == a;
+    NDF_CHECK_MSG(known, "unknown flag --" << name << " (" << hint << ")");
+  }
+}
+
 }  // namespace ndf

@@ -59,9 +59,13 @@ TEST(Graph, LongestPathToIsMonotoneAlongEdges) {
 
 TEST(Graph, CycleIsDetected) {
   SpawnTree t = diamond();
-  StrandGraph g = elaborate(t);
-  // Manufacture a back edge: exit(root) -> enter(root).
-  g.add_edge(g.exit(t.root()), g.enter(t.root()));
+  const StrandGraph dag = elaborate(t);
+  // The diamond's edges plus a back edge exit(root) -> enter(root).
+  std::vector<StrandEdge> edges;
+  for (VertexId v = 0; v < dag.num_vertices(); ++v)
+    for (VertexId w : dag.successors(v)) edges.push_back({v, w});
+  edges.push_back({dag.exit(t.root()), dag.enter(t.root())});
+  const StrandGraph g(t, t.reachable(), edges);
   EXPECT_THROW(g.topological_order(), CheckError);
   EXPECT_THROW(g.span(), CheckError);
 }

@@ -165,7 +165,9 @@ TEST(Arrivals, PoissonExpansionIsDeterministic) {  // V3
     EXPECT_EQ(a[i].tenant, b[i].tenant) << i;
     EXPECT_EQ(a[i].workload.label(), b[i].workload.label()) << i;
     EXPECT_DOUBLE_EQ(a[i].deadline, a[i].arrival + 99.0) << i;
-    if (i) EXPECT_GT(a[i].arrival, a[i - 1].arrival) << i;
+    if (i) {
+      EXPECT_GT(a[i].arrival, a[i - 1].arrival) << i;
+    }
   }
   // Round-robin dealing over tenants and the mix.
   EXPECT_EQ(a[0].tenant, "t0");
