@@ -34,7 +34,9 @@ void sweep(const std::string& name, const std::string& algo,
   t.print(std::cout);
 }
 
-int run() {
+int run(int argc, char** argv) {
+  Args args(argc, argv);
+  bench::reject_unknown_flags(args, {}, "a fixed grid: it takes no flags");
   bench::heading(
       "E6 parallelizability/Claims 2-3",
       "Claims 2-3: alpha_max(MM) ~ 1 - log_M(1+c); NP TRS loses "
@@ -52,4 +54,6 @@ int run() {
 
 }  // namespace
 
-int main(int, char** argv) { return bench::run_main(argv[0], run); }
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
+}

@@ -36,7 +36,9 @@ void sweep(const std::string& name, Make make,
   bench::print_fit(name + " Q* vs n", ns, qs);
 }
 
-int run() {
+int run(int argc, char** argv) {
+  Args args(argc, argv);
+  bench::reject_unknown_flags(args, {}, "a fixed grid: it takes no flags");
   bench::heading("E5 pcc/Claim 1",
                  "Claim 1: Q*(N;M) = O(N^1.5/M^0.5) = O(n^3/sqrt(M)) for "
                  "MM/TRS/CHO/FW2D; Q*(n;M) = O(n^2/M) for LCS.");
@@ -67,4 +69,6 @@ int run() {
 
 }  // namespace
 
-int main(int, char** argv) { return bench::run_main(argv[0], run); }
+int main(int argc, char** argv) {
+  return bench::run_main(argv[0], [&] { return run(argc, argv); });
+}

@@ -2,7 +2,9 @@
 # Bad input to a bench driver must fail cleanly: exit code 2 and exactly
 # one stderr line (`<driver>: <message>`), never an uncaught-exception
 # abort (`terminate called ...`, exit 134). Covers an unknown flag and a
-# bad spec for ndf_sweep, ndf_serve, ndf_native and bench_sb_vs_ws, plus
+# bad spec for ndf_sweep, ndf_serve, ndf_native and bench_sb_vs_ws, an
+# unknown flag for the fixed-grid drivers (bench_pcc,
+# bench_parallelizability, bench_span: they take none), plus
 # a spec that parses but fails when its workload is built (wavefront n is
 # capped at 128), which is thrown from inside the grid runner, and the
 # examples/inspect_dag binary (when the examples are built).
@@ -31,7 +33,8 @@ expect_exit_2() {
   fi
 }
 
-for driver in ndf_sweep ndf_serve ndf_native bench_sb_vs_ws; do
+for driver in ndf_sweep ndf_serve ndf_native bench_sb_vs_ws bench_pcc \
+    bench_parallelizability bench_span; do
   expect_exit_2 "unknown flag --bogus" "$driver" --bogus
 done
 expect_exit_2 "mm:n=abc" ndf_sweep --workloads=mm:n=abc --machines=flat8

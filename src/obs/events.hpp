@@ -6,7 +6,7 @@
 // observational: no simulator decision, duration, counter or emitter
 // output may depend on whether a sink is attached — stats and all
 // table/JSON/CSV outputs are byte-identical with tracing on or off
-// (CI-gated by scripts/ci_perf_gate.sh and ci_serve_gate.sh). When no sink
+// (CI-gated by scripts/ci_gate.py sweep and serve). When no sink
 // is attached the hot paths pay exactly one null-pointer test.
 //
 // Event families (docs/observability.md has the full schema):
