@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harness binaries. Every bench prints
-// the series the paper's corresponding claim describes (EXPERIMENTS.md maps
-// bench → table/figure/claim) plus a fitted growth exponent where the claim
-// is asymptotic.
+// the series the paper's corresponding claim describes (README.md's "Bench
+// driver flag reference" lists every driver and its flags) plus a fitted
+// growth exponent where the claim is asymptotic.
 //
 // Passing `--json=<path>` to any bench that routes its tables through
 // bench::Output mirrors every table into a machine-readable JSON file

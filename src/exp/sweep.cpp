@@ -12,15 +12,16 @@ namespace ndf::exp {
 
 namespace {
 
-/// Executes grid cell `g` through `core`, constructing it on first use and
-/// reset()-rebinding it afterwards. `sink` (non-null for grid cell 0 only —
-/// the scenario's trace_sink) records the cell's event stream.
+/// Executes grid cell `g` through `core` and `policy`, constructing each on
+/// first use and reusing it afterwards (reset() rebinds the core; the
+/// policy's init() restores its own state). `sink` (non-null for grid cell
+/// 0 only — the scenario's trace_sink) records the cell's event stream.
 RunPoint run_cell(const Scenario& s, const GridPoint& g, const Pmh& m,
                   const CondensedDag& dag, std::unique_ptr<SimCore>& core,
-                  obs::TraceSink* sink) {
+                  std::unique_ptr<Scheduler>& policy, obs::TraceSink* sink) {
   SchedOptions opts = point_options(s, g);
   opts.sink = sink;
-  const auto policy = make_scheduler(s.policies[g.policy], opts);
+  if (!policy) policy = make_scheduler(s.policies[g.policy], opts);
   if (core)
     core->reset(dag, m, opts);
   else
@@ -61,19 +62,22 @@ const std::vector<RunPoint>& Sweep::run() {
   gp.keys = std::move(plan.keys);
   gp.cells = grid.size();
 
-  // Each chunk cycles its cells through ONE SimCore (reset() per cell), so
-  // all per-run arenas and the (condensation, machine)-keyed duration
-  // table amortize over the chunk instead of being rebuilt per cell.
+  // Each chunk cycles its cells through ONE SimCore (reset() per cell) and
+  // one policy instance per policy name, so all per-run arenas and the
+  // (condensation, machine)-keyed duration table amortize over the chunk
+  // instead of being rebuilt per cell.
   GridResult<RunPoint> r = run_grid<RunPoint>(
       gp, [&](const GridDags& dags, std::size_t b, std::size_t e,
               CellSlots<RunPoint>& out) {
         std::unique_ptr<SimCore> core;
+        std::vector<std::unique_ptr<Scheduler>> policies(
+            scenario_.policies.size());
         for (std::size_t i = b; i < e; ++i) {
           const GridPoint& g = grid[i];
           // Cell 0 (one cell, one worker) carries the scenario's trace
           // sink; the sink needs no locking because no other cell emits.
           out.put(i, run_cell(scenario_, g, machines[g.machine],
-                              *dags[plan.cell[i]], core,
+                              *dags[plan.cell[i]], core, policies[g.policy],
                               i == 0 ? scenario_.trace_sink : nullptr));
         }
       });

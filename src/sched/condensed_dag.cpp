@@ -26,6 +26,9 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
   ++g_builds;
 
   const std::size_t L = sizes_.size();
+  for (std::size_t l = 2; l <= L; ++l)
+    NDF_CHECK_MSG(sizes_[l - 1] >= sizes_[l - 2],
+                  "condensation cache sizes must not shrink with the level");
   dec_.reserve(L);
   for (std::size_t l = 1; l <= L; ++l)
     dec_.push_back(decompose(*tree_, sigma_ * sizes_[l - 1]));
@@ -61,6 +64,26 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
       task_size_[ext_off_[l - 1] + t] = s;
       level_footprint_[l - 1] += s;
     }
+
+  // The task tree: each task's parent is the level-(l+1) task owning its
+  // root. Parents come out in non-decreasing order (checked), so each
+  // task's children are the contiguous range its first_child_ bounds.
+  task_parent_.assign(arena, -1);
+  first_child_.assign(arena + L, 0);
+  for (std::size_t l = 1; l < L; ++l) {
+    const std::size_t n = dec_[l - 1].maximal.size();
+    int* first = first_child_.data() + ext_off_[l] + l;  // level l+1's
+    int prev = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+      const int p = dec_[l].owner[dec_[l - 1].maximal[t]];
+      NDF_CHECK(p >= prev);
+      task_parent_[ext_off_[l - 1] + t] = p;
+      for (; prev < p; ++prev) first[prev + 1] = int(t);
+    }
+    for (std::size_t q = std::size_t(prev) + 1;
+         q <= dec_[l].maximal.size(); ++q)
+      first[q] = int(n);
+  }
 
   unit_work_.resize(num_units());
   for (std::size_t u = 0; u < num_units(); ++u) {

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "analysis/decompose.hpp"
@@ -123,6 +124,35 @@ class CondensedDag {
   double task_size(std::size_t level, int t) const {
     return task_size_[ext_off_[level - 1] + t];
   }
+  /// True iff level-`level` maximal task `t` exceeds σM_level — a big
+  /// strand the decomposition could not subdivide, so no level-`level`
+  /// cache can hold it.
+  bool task_oversized(std::size_t level, int t) const {
+    return task_size(level, t) > sigma_ * sizes_[level - 1];
+  }
+
+  // --- the cross-level task tree ------------------------------------------
+  //
+  // Cache sizes grow with the level, so every level-l maximal task lies
+  // inside exactly one level-(l+1) maximal task: the decompositions nest
+  // into a tree with the top level's tasks as roots. Tasks are indexed in
+  // spawn-tree order and a subtree is contiguous in that order, so a
+  // task's children are a contiguous index range: the children CSR needs
+  // only its offsets. Both directions live in the ext_off layout.
+
+  /// Level-(level+1) task containing level-`level` task `t`; -1 at the top
+  /// level.
+  int task_parent(std::size_t level, int t) const {
+    return task_parent_[ext_off_[level - 1] + t];
+  }
+  /// Level-(level-1) tasks inside level-`level` task `t`, in task-index
+  /// (spawn-tree) order; empty at level 1.
+  std::ranges::iota_view<int, int> task_children(std::size_t level,
+                                                  int t) const {
+    const int* first = first_child_.data() + ext_off_[level - 1] + level - 1;
+    return std::views::iota(first[t], first[t + 1]);
+  }
+
   /// Σ_t s(t) over level-`level` maximal tasks — the schedule-independent
   /// per-level footprint total the distributed charge model bills once.
   double level_footprint(std::size_t level) const {
@@ -159,6 +189,11 @@ class CondensedDag {
   std::vector<std::uint32_t> unit_task_; // [(l-1)*units + u] = task at l
   std::vector<double> task_size_;        // flat arena: s(t) per (level, task)
   std::vector<double> level_footprint_;  // [l-1] = Σ_t s(t)
+
+  std::vector<int> task_parent_;  // flat arena: task at level+1, or -1
+  std::vector<int> first_child_;  // per level, tasks + 1 offsets: at
+                                  // ext_off(l) + l - 1, children of t are
+                                  // [first[t], first[t + 1])
 };
 
 }  // namespace ndf

@@ -14,7 +14,21 @@
 // "ideal locality" charge hides: the simulated LRU occupancy layer
 // (pmh/occupancy.hpp) measures the reloads a global FIFO actually incurs
 // when consecutive units land on unrelated caches.
-#include <deque>
+//
+// "edf" is the same class registered a second time, as the deadline-aware
+// entry of the registry (after the sledge-serverless SCHEDULER_EDF
+// option). Deadlines live on *jobs* (the service mode's admission unit,
+// src/serve/), not on atomic units, so the policy splits across the two
+// layers:
+//
+//   - Admission (service mode): the registration's deadline_aware flag
+//     makes the serve engine order queued jobs earliest-absolute-deadline
+//     first — non-preemptive EDF over job DAGs, ties broken by arrival
+//     time then submission index. Jobs without a deadline sort last.
+//   - Unit order (inside one job, and in batch sweeps where there is no
+//     job stream): a single DAG has no deadlines to compare, so the unit
+//     discipline is greedy's. Batch edf stats are therefore bit-identical
+//     to greedy's (tested).
 #include <memory>
 
 #include "sched/registry.hpp"
@@ -25,14 +39,17 @@ namespace {
 
 class GreedyScheduler final : public Scheduler {
  public:
-  explicit GreedyScheduler(const SchedOptions&) {}
+  explicit GreedyScheduler(const char* name) : name_(name) {}
 
-  const char* name() const override { return "greedy"; }
+  const char* name() const override { return name_; }
 
   void init(SimCore& core) override {
     core_ = &core;
     unit_dur_ = &core.distributed_unit_durations();
     core.charge_condensed_footprints();
+    ready_.clear();
+    ready_.reserve(core.num_units());
+    head_ = 0;
   }
 
   void on_start() override {
@@ -44,16 +61,19 @@ class GreedyScheduler final : public Scheduler {
   }
 
   Assignment pick(std::size_t, double) override {
-    if (ready_.empty()) return {};
-    const int u = ready_.front();
-    ready_.pop_front();
+    if (head_ == ready_.size()) return {};
+    const int u = ready_[head_++];
     return {u, (*unit_dur_)[u]};
   }
 
  private:
+  const char* name_;
   SimCore* core_ = nullptr;
   const std::vector<double>* unit_dur_ = nullptr;  // core's cached table
-  std::deque<int> ready_;  // global FIFO
+  // Global FIFO: every unit is queued once per run, so a vector read from
+  // head_ never needs to give entries back.
+  std::vector<int> ready_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace
@@ -63,9 +83,17 @@ void register_greedy_scheduler() {
   register_scheduler(
       "greedy",
       "centralized Brent-style greedy: global FIFO, Eq. (22) miss charge",
-      [](const SchedOptions& opts) -> std::unique_ptr<Scheduler> {
-        return std::make_unique<GreedyScheduler>(opts);
+      [](const SchedOptions&) -> std::unique_ptr<Scheduler> {
+        return std::make_unique<GreedyScheduler>("greedy");
       });
+  register_scheduler(
+      "edf",
+      "deadline-aware: EDF-over-jobs admission in service mode; greedy "
+      "unit order within a job",
+      [](const SchedOptions&) -> std::unique_ptr<Scheduler> {
+        return std::make_unique<GreedyScheduler>("edf");
+      },
+      /*deadline_aware=*/true);
 }
 }  // namespace detail
 

@@ -14,7 +14,6 @@ void register_sb_scheduler();
 void register_ws_scheduler();
 void register_greedy_scheduler();
 void register_serial_scheduler();
-void register_edf_scheduler();
 }  // namespace detail
 
 namespace {
@@ -36,7 +35,6 @@ void ensure_builtins() {
     detail::register_ws_scheduler();
     detail::register_greedy_scheduler();
     detail::register_serial_scheduler();
-    detail::register_edf_scheduler();
     return true;
   }();
   (void)once;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <limits>
 #include <memory>
 
 #include "analysis/pcc.hpp"
@@ -12,87 +12,95 @@ namespace ndf {
 
 namespace {
 
-constexpr int kRoot = -1;
-
-/// Per-maximal-task anchoring state at one cache level. Readiness (the
-/// external-dependence count) lives in the core.
-struct Task {
-  NodeId root = kNoNode;
-  double size = 0.0;
-  int parent = kRoot;      ///< task index at the level above (kRoot = memory)
-  bool oversized = false;  ///< size > σM at this level (a big strand)
-  bool anchored = false;
-  bool in_pending = false;
-  int anchor_cache = -1;           ///< cache index at this level
-  std::vector<std::size_t> lease;  ///< leased child-cache indices
-};
-
 /// The "sb" policy: anchoring, boundedness and allocation over the core's
-/// readiness/event machinery.
+/// readiness/event machinery. The task tree (roots, sizes, parents,
+/// children) is the condensation's; the policy keeps only per-run state,
+/// in flat arenas that init() refills without giving capacity back.
+///
+/// Blocked tasks. A release re-tries every capacity-blocked task of its
+/// level, last-blocked first, and a retry that fails again only moves the
+/// task within the pending list. Every blocked task failed on all its
+/// candidate caches at its last try, no capacity frees during a drain,
+/// and a cache gains room only by a release at it. So a retry can succeed
+/// only on a cache freed since the last drain, and every other retry is
+/// known to fail without being run: those tasks go straight back to the
+/// pending list, in the order the retries would have put them there.
+/// Successes, pins and trace events keep their order exactly.
 class SbScheduler final : public Scheduler {
  public:
-  explicit SbScheduler(const SchedOptions& opts) : opts_(opts) {}
+  explicit SbScheduler(const SchedOptions&) {}
 
   const char* name() const override { return "sb"; }
 
   void init(SimCore& core) override {
     core_ = &core;
-    const SpawnTree& tree = core.tree();
-    const Pmh& m = core.machine();
-    const std::size_t L = core.num_levels();
-
-    task_.resize(L);
-    kids_.assign(L, {});
-    for (std::size_t l = 1; l <= L; ++l) {
-      const Decomposition& d = core.decomposition(l);
-      auto& tl = task_[l - 1];
-      tl.resize(d.maximal.size());
-      for (std::size_t i = 0; i < tl.size(); ++i) {
-        Task& t = tl[i];
-        t.root = d.maximal[i];
-        t.size = tree.size_of(t.root);
-        t.oversized = t.size > opts_.sigma * m.cache_size(l);
-        t.parent =
-            l < L ? core.decomposition(l + 1).owner[t.root] : kRoot;
-      }
-    }
-    for (std::size_t l = 2; l <= L; ++l) {
-      kids_[l - 1].resize(task_[l - 1].size());
-      for (std::size_t i = 0; i < task_[l - 2].size(); ++i) {
-        const int p = task_[l - 2][i].parent;
-        NDF_CHECK(p >= 0);
-        kids_[l - 1][p].push_back(static_cast<int>(i));
-      }
-    }
-
+    dag_ = &core.dag();
+    m_ = &core.machine();
+    L_ = core.num_levels();
+    alpha_prime_ = core.options().alpha_prime;
     unit_dur_ = &core.distributed_unit_durations();
-    unit_dispatched_.assign(core.num_units(), false);
 
-    used_.resize(L);
-    leased_to_.resize(L);
-    runq_.resize(L);
-    pending_.assign(L, {});
-    for (std::size_t l = 1; l <= L; ++l) {
-      used_[l - 1].assign(m.num_caches(l), 0.0);
-      leased_to_[l - 1].assign(m.num_caches(l), -1);
-      runq_[l - 1].resize(m.num_caches(l));
+    // Per-task state, in the dag's (level, task) arena layout.
+    const std::size_t tasks = dag_->ext_arena_size();
+    task_.assign(tasks, TaskState{});
+
+    // Per-cache state: level l's caches start at cache_off_[l-1]; the slot
+    // past the last cache holds memory's run queue.
+    cache_off_.resize(L_ + 1);
+    cap_.resize(L_);
+    fan_.resize(L_);
+    std::size_t caches = 0;
+    for (std::size_t l = 1; l <= L_; ++l) {
+      cache_off_[l - 1] = caches;
+      caches += m_->num_caches(l);
+      cap_[l - 1] = core.options().sigma * m_->cache_size(l);
+      fan_[l - 1] = m_->fanout(l);
+    }
+    cache_off_[L_] = caches;
+    cache_.assign(caches + 1, CacheState{});
+    for (std::size_t l = 2; l <= L_; ++l)
+      for (std::size_t i = cache_off_[l - 1]; i < cache_off_[l]; ++i)
+        cache_[i].free_kids = int(fan_[l - 1]);
+    top_min_dirty_ = true;
+
+    // Run queues: one intrusive FIFO per cache plus memory's, threaded
+    // through next_unit_ (every unit is queued at most once per run).
+    next_unit_.resize(core.num_units());
+    queued_ = 0;
+    // Per processor, the queues pick() scans: its cache at each level,
+    // innermost first, then memory's.
+    const std::size_t P = m_->num_processors();
+    proc_q_.resize(P * (L_ + 1));
+    for (std::size_t p = 0; p < P; ++p) {
+      for (std::size_t l = 1; l <= L_; ++l)
+        proc_q_[p * (L_ + 1) + l - 1] =
+            int(cache_off_[l - 1] + m_->cache_above(p, l));
+      proc_q_[p * (L_ + 1) + L_] = int(caches);
+    }
+
+    to_try_.clear();
+    pending_.resize(L_);
+    batch_.resize(L_);
+    freed_.resize(L_);
+    for (std::size_t l = 0; l < L_; ++l) {
+      pending_[l].clear();
+      batch_[l].clear();
+      freed_[l].clear();
     }
   }
 
   void on_start() override {
     // Seed anchoring with every dependency-free task, top level first.
-    const std::size_t L = core_->num_levels();
-    for (std::size_t l = L; l >= 1; --l) {
-      for (std::size_t i = 0; i < task_[l - 1].size(); ++i)
-        if (core_->task_ext(l, static_cast<int>(i)) == 0)
-          to_try_.push_back({l, static_cast<int>(i)});
-      if (l == 1) break;
+    for (std::size_t l = L_; l >= 1; --l) {
+      const int n = int(dag_->decomposition(l).maximal.size());
+      for (int i = 0; i < n; ++i)
+        if (core_->task_ext(l, i) == 0) to_try_.push_back({l, i});
     }
     drain_anchor_worklist();
   }
 
   void on_task_ready(std::size_t level, int t) override {
-    if (!task_[level - 1][t].anchored) to_try_.push_back({level, t});
+    if (!task_[flat(level, t)].anchored) to_try_.push_back({level, t});
   }
 
   void on_exit_fired(NodeId n) override { release_if_task_done(n); }
@@ -102,172 +110,385 @@ class SbScheduler final : public Scheduler {
   }
 
   Assignment pick(std::size_t proc, double) override {
-    const Pmh& m = core_->machine();
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      auto& q = runq_[l - 1][m.cache_above(proc, l)];
-      if (!q.empty()) {
-        const int u = q.front();
-        q.pop_front();
-        return {u, (*unit_dur_)[u]};
-      }
-    }
-    if (!runq_mem_.empty()) {
-      const int u = runq_mem_.front();
-      runq_mem_.pop_front();
+    if (queued_ == 0) return {};
+    const int* q = &proc_q_[proc * (L_ + 1)];
+    for (std::size_t i = 0; i <= L_; ++i) {
+      CacheState& c = cache_[q[i]];
+      const int u = c.q_head;
+      if (u < 0) continue;
+      c.q_head = next_unit_[u];
+      if (c.q_head < 0) c.q_tail = -1;
+      --queued_;
       return {u, (*unit_dur_)[u]};
     }
     return {};
   }
 
  private:
+  /// One anchoring attempt on the work-list: level-`level` task `task`, or
+  /// (task == kBatch) the next task of that level's retry batch.
+  struct Try {
+    std::size_t level;
+    int task;
+  };
+  static constexpr int kBatch = -1;
+
+  /// A capacity-blocked task, with what tells whether a freed cache can
+  /// take it.
+  struct Blocked {
+    int task;
+    int parent;  ///< task at the level above (-1 at the top)
+    double size;
+  };
+
+  /// A level's blocked tasks, in order, with a lower bound on their sizes:
+  /// a ring buffer, so that a batch failing as a whole comes back
+  /// reversed in O(1).
+  class BlockedList {
+   public:
+    bool empty() const { return n_ == 0; }
+    double min_size() const { return min_size_; }
+    const Blocked& back() const { return at(n_ - 1); }
+    void pop_back() {
+      if (rev_) head_ = wrap(head_ + 1);
+      --n_;
+    }
+    void push_back(const Blocked& b) {
+      if (n_ == buf_.size()) grow();
+      if (rev_) {
+        head_ = wrap(head_ + buf_.size() - 1);
+        buf_[head_] = b;
+      } else {
+        buf_[wrap(head_ + n_)] = b;
+      }
+      ++n_;
+      min_size_ = std::min(min_size_, b.size);
+    }
+    /// Appends `o`'s tasks back to front and empties `o`.
+    void append_reversed(BlockedList& o) {
+      if (empty()) {
+        std::swap(*this, o);
+        rev_ = !rev_;
+        o.clear();
+        return;
+      }
+      for (; !o.empty(); o.pop_back()) push_back(o.back());
+      o.clear();
+    }
+    void clear() {
+      head_ = n_ = 0;
+      rev_ = false;
+      min_size_ = std::numeric_limits<double>::infinity();
+    }
+
+   private:
+    std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
+    const Blocked& at(std::size_t i) const {
+      return buf_[wrap(rev_ ? head_ + n_ - 1 - i : head_ + i)];
+    }
+    void grow() {
+      std::vector<Blocked> nb(std::max<std::size_t>(16, 2 * buf_.size()));
+      for (std::size_t i = 0; i < n_; ++i) nb[i] = at(i);
+      buf_.swap(nb);
+      head_ = 0;
+      rev_ = false;
+    }
+
+    std::vector<Blocked> buf_;  ///< empty or a power of two long
+    std::size_t head_ = 0, n_ = 0;
+    bool rev_ = false;  ///< logical order runs from the physical back
+    double min_size_ = std::numeric_limits<double>::infinity();
+  };
+
+  std::size_t flat(std::size_t level, int t) const {
+    return dag_->ext_off(level) + std::size_t(t);
+  }
+
   /// Releases capacity/leases of every anchored task rooted at node n (it
   /// can be maximal at several consecutive levels).
   void release_if_task_done(NodeId n) {
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      const int ti = core_->decomposition(l).owner[n];
+    for (std::size_t l = 1; l <= L_; ++l) {
+      const Decomposition& d = dag_->decomposition(l);
+      const int ti = d.owner[n];
       if (ti < 0) continue;  // glue at this level, maybe a task above
-      Task& t = task_[l - 1][ti];
-      if (t.root != n || !t.anchored || t.oversized) continue;
-      used_[l - 1][t.anchor_cache] -= t.size;
-      core_->unpin_footprint(l, std::size_t(t.anchor_cache), ti);
-      if (l > 1)
-        for (std::size_t c : t.lease) leased_to_[l - 2][c] = -1;
+      // Strictly inside a level-l task means strictly inside the task
+      // containing it at every level above too.
+      if (d.maximal[ti] != n) return;
+      const std::size_t f = flat(l, ti);
+      if (!task_[f].anchored || dag_->task_oversized(l, ti)) continue;
+      const std::size_t c = std::size_t(task_[f].anchor_cache);
+      CacheState& cs = cache_[cache_off_[l - 1] + c];
+      cs.used -= dag_->task_size(l, ti);
+      core_->unpin_footprint(l, c, ti);
+      if (l > 1) {
+        const std::size_t fan = fan_[l - 1];
+        for (std::size_t k = c * fan; k < (c + 1) * fan; ++k) {
+          int& holder = cache_[cache_off_[l - 2] + k].leased_to;
+          if (holder == ti) {
+            holder = -1;
+            ++cs.free_kids;
+          }
+        }
+      }
+      if (l == L_) top_min_dirty_ = true;
+      freed_[l - 1].push_back(std::uint32_t(c));
       retry_pending(l);
-      if (l > 1) retry_pending(l - 1);  // freed leases unblock children
+      // The level below is re-tried too. Its blocked tasks only move within
+      // their list — the freed leases serve no live parent — but that order
+      // decides later ties.
+      if (l > 1) retry_pending(l - 1);
     }
   }
 
+  /// Queues every capacity-blocked task of level l for another attempt,
+  /// in pending order (the drain tries the last-blocked first). The tasks
+  /// move into the level's batch behind ONE work-list marker instead of
+  /// one entry each, and stay flagged in_pending until really retried.
+  /// The previous batch is always spent by now: drains run it dry, and no
+  /// release happens inside a drain.
   void retry_pending(std::size_t l) {
-    for (int ti : pending_[l - 1]) {
-      task_[l - 1][ti].in_pending = false;
-      to_try_.push_back({l, ti});
-    }
-    pending_[l - 1].clear();
+    BlockedList& p = pending_[l - 1];
+    if (p.empty()) return;
+    BlockedList& b = batch_[l - 1];
+    NDF_CHECK(b.empty());
+    std::swap(b, p);
+    to_try_.push_back({l, kBatch});
   }
 
-  bool parent_anchored(std::size_t l, const Task& t) const {
-    if (l == core_->num_levels() || t.parent == kRoot) return true;
-    return task_[l][t.parent].anchored;
+  bool parent_anchored(std::size_t l, int ti) const {
+    if (l == L_) return true;
+    return task_[flat(l + 1, dag_->task_parent(l, ti))].anchored;
   }
 
   /// gi(S): number of level-(l-1) subclusters for a size-S task at level l.
   std::size_t allocation(std::size_t l, double S) const {
-    const Pmh& m = core_->machine();
-    const double fi = double(m.fanout(l));
-    const double frac = std::pow(3.0 * S / m.cache_size(l), opts_.alpha_prime);
+    const double fi = double(fan_[l - 1]);
+    const double frac = std::pow(3.0 * S / m_->cache_size(l), alpha_prime_);
     return static_cast<std::size_t>(
         std::min(fi, std::max(1.0, std::floor(fi * frac))));
   }
 
+  /// Level-l cache c can take a size-S task: capacity left under σM, and
+  /// (above level 1) a free subcluster to lease.
+  bool fits(std::size_t l, std::size_t c, double S) const {
+    const CacheState& cs = cache_[cache_off_[l - 1] + c];
+    return cs.used + S <= cap_[l - 1] && (l == 1 || cs.free_kids > 0);
+  }
+
+  /// The least `used` over top-level caches with a free subcluster (+inf
+  /// when none has one). FP addition is monotone, so a task this cannot
+  /// fit fits no top-level cache — an exact O(1) fail test.
+  double top_min_used() {
+    if (top_min_dirty_) {
+      top_min_ = std::numeric_limits<double>::infinity();
+      for (std::size_t i = cache_off_[L_ - 1]; i < cache_off_[L_]; ++i)
+        if (L_ == 1 || cache_[i].free_kids > 0)
+          top_min_ = std::min(top_min_, cache_[i].used);
+      top_min_dirty_ = false;
+    }
+    return top_min_;
+  }
+
+  /// True when retrying `e` (a level-l blocked task) now would fail: no
+  /// level-l cache freed since the last drain is its candidate (any cache
+  /// at the top level, its parent's leased subclusters below) with room
+  /// for it.
+  bool still_blocked(std::size_t l, const Blocked& e) const {
+    for (std::uint32_t k : freed_[l - 1])
+      if ((l == L_ || cache_[cache_off_[l - 1] + k].leased_to == e.parent) &&
+          fits(l, k, e.size))
+        return false;
+    return true;
+  }
+
+  /// The first cache the level-l task ti may anchor on, or -1. Candidates
+  /// are the parent's leased subclusters in cache order (every top-level
+  /// cache for top-level tasks).
+  int find_anchor(std::size_t l, int ti, double S) {
+    if (l == L_) {
+      if (top_min_used() + S > cap_[l - 1]) return -1;
+      for (std::size_t c = 0; c < cache_off_[l] - cache_off_[l - 1]; ++c)
+        if (fits(l, c, S)) return int(c);
+      return -1;
+    }
+    const int p = dag_->task_parent(l, ti);
+    const int pc = task_[flat(l + 1, p)].anchor_cache;
+    if (pc < 0) return -1;
+    const std::size_t fan = fan_[l];
+    for (std::size_t k = std::size_t(pc) * fan; k < std::size_t(pc + 1) * fan;
+         ++k)
+      if (cache_[cache_off_[l - 1] + k].leased_to == p && fits(l, k, S))
+        return int(k);
+    return -1;
+  }
+
+  /// Records level-l task ti (size S) as blocked, unless it already is.
+  void block(std::size_t l, int ti, double S) {
+    const std::size_t f = flat(l, ti);
+    if (task_[f].in_pending) return;
+    task_[f].in_pending = true;
+    pending_[l - 1].push_back(
+        {ti, l < L_ ? dag_->task_parent(l, ti) : -1, S});
+  }
+
   void enqueue_unit(int u) {
-    if (unit_dispatched_[u]) return;
-    unit_dispatched_[u] = true;
-    const NodeId n = task_[0][u].root;
-    for (std::size_t l = 1; l <= core_->num_levels(); ++l) {
-      const Task& t = task_[l - 1][core_->decomposition(l).owner[n]];
-      if (!t.oversized) {
-        NDF_CHECK(t.anchored && t.anchor_cache >= 0);
-        runq_[l - 1][t.anchor_cache].push_back(u);
-        return;
+    std::size_t q = cache_off_[L_];  // memory's queue
+    for (std::size_t l = 1; l <= L_; ++l) {
+      const int t = dag_->unit_task(l, u);
+      if (!dag_->task_oversized(l, t)) {
+        const int c = task_[flat(l, t)].anchor_cache;
+        NDF_CHECK(task_[flat(l, t)].anchored && c >= 0);
+        q = cache_off_[l - 1] + std::size_t(c);
+        break;
       }
     }
-    runq_mem_.push_back(u);
+    next_unit_[u] = -1;
+    CacheState& cs = cache_[q];
+    if (cs.q_tail < 0)
+      cs.q_head = u;
+    else
+      next_unit_[cs.q_tail] = u;
+    cs.q_tail = u;
+    ++queued_;
   }
 
   void try_anchor(std::size_t l, int ti) {
-    const Pmh& m = core_->machine();
-    Task& t = task_[l - 1][ti];
-    if (t.anchored || core_->task_ext(l, ti) != 0 || !parent_anchored(l, t))
+    const std::size_t f = flat(l, ti);
+    TaskState& ts = task_[f];
+    if (ts.anchored || core_->task_ext(l, ti) != 0 || !parent_anchored(l, ti))
       return;
-    if (!t.oversized) {
-      // Candidate anchors: parent's leased subclusters (all level-L caches
-      // for top-level tasks).
-      int chosen = -1;
-      auto consider = [&](std::size_t c) {
-        if (chosen >= 0) return;
-        if (used_[l - 1][c] + t.size > opts_.sigma * m.cache_size(l)) return;
-        if (l > 1) {
-          const std::size_t f = m.fanout(l);
-          bool any_free = false;
-          for (std::size_t k = c * f; k < (c + 1) * f; ++k)
-            if (leased_to_[l - 2][k] < 0) {
-              any_free = true;
-              break;
-            }
-          if (!any_free) return;
-        }
-        chosen = static_cast<int>(c);
-      };
-      if (l == core_->num_levels() || t.parent == kRoot) {
-        for (std::size_t c = 0; c < m.num_caches(l); ++c) consider(c);
-      } else {
-        for (std::size_t c : task_[l][t.parent].lease) consider(c);
-      }
+    const double S = dag_->task_size(l, ti);
+    if (!dag_->task_oversized(l, ti)) {
+      const int chosen = find_anchor(l, ti, S);
       if (chosen < 0) {
-        if (!t.in_pending) {
-          t.in_pending = true;
-          pending_[l - 1].push_back(ti);
-        }
+        block(l, ti, S);
         return;
       }
-      t.anchored = true;
-      t.anchor_cache = chosen;
-      used_[l - 1][chosen] += t.size;
+      const std::size_t c = std::size_t(chosen);
+      ts.anchored = true;
+      ts.anchor_cache = chosen;
+      cache_[cache_off_[l - 1] + c].used += S;
       // Measured occupancy mirrors the capacity reservation: an anchored
       // footprint cannot be evicted until release, so it loads at most
       // once — the mechanism behind measured Q_i <= Q*(sigma*Mi).
-      core_->pin_footprint(l, std::size_t(chosen), ti);
+      core_->pin_footprint(l, c, ti);
       if (l > 1) {
-        const std::size_t want = allocation(l, t.size);
-        const std::size_t f = m.fanout(l);
-        for (std::size_t k = std::size_t(chosen) * f;
-             k < (std::size_t(chosen) + 1) * f && t.lease.size() < want; ++k)
-          if (leased_to_[l - 2][k] < 0) {
-            leased_to_[l - 2][k] = ti;
-            t.lease.push_back(k);
+        const std::size_t want = allocation(l, S);
+        const std::size_t fan = fan_[l - 1];
+        std::size_t got = 0;
+        for (std::size_t k = c * fan; k < (c + 1) * fan && got < want; ++k) {
+          int& holder = cache_[cache_off_[l - 2] + k].leased_to;
+          if (holder < 0) {
+            holder = ti;
+            --cache_[cache_off_[l - 1] + c].free_kids;
+            ++got;
           }
+        }
       }
+      if (l == L_) top_min_dirty_ = true;
     } else {
-      t.anchored = true;
+      ts.anchored = true;
     }
-    core_->stats().misses[l - 1] += t.size;
+    core_->stats().misses[l - 1] += S;
     ++core_->stats().anchors;
     if (l == 1) {
       enqueue_unit(ti);
     } else {
-      for (int c : kids_[l - 1][ti]) to_try_.push_back({l - 1, c});
+      for (int c : dag_->task_children(l, ti)) to_try_.push_back({l - 1, c});
+    }
+  }
+
+  /// Moves level-l batch tasks that would fail again straight back to the
+  /// pending list, in the order their retries would have put them there;
+  /// stops at the first that needs a real retry.
+  void requeue_blocked(std::size_t l) {
+    BlockedList& b = batch_[l - 1];
+    BlockedList& p = pending_[l - 1];
+    // A batch whose smallest task fits no freed cache fails as a whole,
+    // and comes back reversed.
+    bool all_fail = true;
+    for (std::uint32_t k : freed_[l - 1])
+      all_fail = all_fail && !fits(l, k, b.min_size());
+    if (all_fail) {
+      p.append_reversed(b);
+      return;
+    }
+    while (!b.empty() && still_blocked(l, b.back())) {
+      p.push_back(b.back());
+      b.pop_back();
     }
   }
 
   void drain_anchor_worklist() {
     while (!to_try_.empty()) {
-      auto [l, ti] = to_try_.back();
-      to_try_.pop_back();
-      try_anchor(l, ti);
+      const Try t = to_try_.back();
+      if (t.task != kBatch) {
+        to_try_.pop_back();
+        try_anchor(t.level, t.task);
+        continue;
+      }
+      // A batch marker stays on the work-list until its batch is spent,
+      // so tasks a success pushes run before the batch's next one — the
+      // order of one entry per task.
+      requeue_blocked(t.level);
+      BlockedList& b = batch_[t.level - 1];
+      if (b.empty()) {
+        to_try_.pop_back();
+        continue;
+      }
+      const int ti = b.back().task;
+      b.pop_back();
+      task_[flat(t.level, ti)].in_pending = false;
+      try_anchor(t.level, ti);
     }
+    for (std::vector<std::uint32_t>& f : freed_) f.clear();
   }
 
-  const SchedOptions opts_;
   SimCore* core_ = nullptr;
-
-  std::vector<std::vector<Task>> task_;             // task_[l-1]
-  std::vector<std::vector<std::vector<int>>> kids_; // kids_[l-1][t] at l-1
+  const CondensedDag* dag_ = nullptr;
+  const Pmh* m_ = nullptr;
+  std::size_t L_ = 0;
+  double alpha_prime_ = 1.0;
   // The core's cached distributed-charge table (valid for this run's
   // (dag, machine, charge) binding — no per-run copy).
   const std::vector<double>* unit_dur_ = nullptr;
-  std::vector<bool> unit_dispatched_;
 
-  // Cache occupancy and child leases, per level.
-  std::vector<std::vector<double>> used_;    // used_[l-1][cache]
-  std::vector<std::vector<int>> leased_to_;  // leased_to_[l-1][cache]
+  struct TaskState {
+    int anchor_cache = -1;  ///< cache index at the task's level
+    bool anchored = false;
+    bool in_pending = false;  ///< in pending_ or batch_ of its level
+  };
+  struct CacheState {
+    double used = 0.0;   ///< anchored footprint
+    int leased_to = -1;  ///< level-(l+1) task leasing it, or -1
+    int free_kids = 0;   ///< unleased level-(l-1) subclusters
+    int q_head = -1;     ///< run queue, threaded through next_unit_
+    int q_tail = -1;
+  };
 
-  // Run queues: runq_[l-1][cache] plus the memory-level queue.
-  std::vector<std::vector<std::deque<int>>> runq_;
-  std::deque<int> runq_mem_;
+  // Per task, flat (level, task) arena.
+  std::vector<TaskState> task_;
+
+  // Per cache, flat (level, cache) arena at cache_off_, plus memory's slot.
+  std::vector<std::size_t> cache_off_;  // [l-1]; [L] = number of caches
+  std::vector<double> cap_;             // [l-1] = σM_l
+  std::vector<std::size_t> fan_;        // [l-1] = level l's fan-out
+  std::vector<CacheState> cache_;
+  double top_min_ = 0.0;
+  bool top_min_dirty_ = true;
+
+  // Run queues: each processor's scan order over the caches' queues.
+  std::vector<int> next_unit_;
+  std::vector<int> proc_q_;  // [p * (L+1) + i]
+  std::size_t queued_ = 0;
 
   // Anchoring work-list and capacity-blocked tasks.
-  std::vector<std::pair<std::size_t, int>> to_try_;  // (level, task)
-  std::vector<std::vector<int>> pending_;            // pending_[l-1]
+  std::vector<Try> to_try_;
+  std::vector<BlockedList> pending_;  // [l-1], in blocking order
+  std::vector<BlockedList> batch_;    // [l-1], retried from the back
+  // Caches released since the last drain, per level: the only ones a
+  // blocked task of that level can newly fit.
+  std::vector<std::vector<std::uint32_t>> freed_;
 };
 
 }  // namespace

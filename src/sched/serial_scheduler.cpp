@@ -31,6 +31,7 @@ class SerialScheduler final : public Scheduler {
     core_ = &core;
     unit_dur_ = &core.distributed_unit_durations();
     core.charge_condensed_footprints();
+    ready_ = {};
   }
 
   void on_start() override {

@@ -151,7 +151,7 @@ SimCore::Ev SimCore::pop_event() {
   return e;
 }
 
-void SimCore::fire_vertex(VertexId v) {
+void SimCore::fire_vertex(VertexId v, bool report_exit) {
   if (fired_[v]) return;
   fired_[v] = 1;
   const StrandGraph& g = dag_->graph();
@@ -178,7 +178,7 @@ void SimCore::fire_vertex(VertexId v) {
     if (--in_deg_[w] == 0 && !fired_[w] && is_control(w))
       cascade_.push_back(w);
   }
-  if (g.is_exit(v)) policy_->on_exit_fired(g.owner(v));
+  if (report_exit && g.is_exit(v)) policy_->on_exit_fired(g.owner(v));
 }
 
 void SimCore::cascade_all() {
@@ -201,10 +201,12 @@ void SimCore::complete_unit(int u) {
     for (NodeId c : tree().node(n).children) walk_stack_.push_back(c);
   }
   const StrandGraph& g = dag_->graph();
-  // Children before parents so the unit root's exit fires last.
+  // Children before parents so the unit root's exit fires last. Only the
+  // root's exit is reported: no maximal task is rooted strictly inside a
+  // unit.
   for (auto it = walk_order_.rbegin(); it != walk_order_.rend(); ++it) {
     fire_vertex(g.enter(*it));
-    fire_vertex(g.exit(*it));
+    fire_vertex(g.exit(*it), *it == root);
   }
   cascade_all();
 }

@@ -25,7 +25,8 @@
 // The split keeps policies small: SB is anchoring/boundedness/allocation,
 // WS is victim selection plus the footprint-reload cache model, greedy and
 // serial are a queue discipline each. New policies implement Scheduler and
-// register themselves in sched/registry.hpp.
+// register themselves in sched/registry.hpp. A policy instance, like a
+// core, is reusable: init() restores its per-run state at every run.
 #pragma once
 
 #include <cstdint>
@@ -142,8 +143,13 @@ class Scheduler {
 
   virtual const char* name() const = 0;
 
-  /// Called once, after the core has built decompositions, units and
-  /// external-dependence counters, before anything fires.
+  /// Called at the start of every run, after the core has restored its
+  /// counters from the dag's templates and before anything fires. One
+  /// instance may serve many runs (the sweep and serve engines reuse one
+  /// per policy name across reset()s), so init() must restore every piece
+  /// of per-run state and take its options from core.options(), never
+  /// from the factory's argument: a reused instance's run must equal a
+  /// fresh instance's bit for bit.
   virtual void init(SimCore& core) = 0;
 
   /// Called after the initial control-vertex cascade; seed ready work from
@@ -165,7 +171,9 @@ class Scheduler {
   }
 
   /// The exit vertex of spawn-tree node `n` fired (tasks rooted at `n` are
-  /// complete; the SB policy releases capacity here).
+  /// complete; the SB policy releases capacity here). Reported for unit
+  /// roots and the glue nodes above them — the only nodes a maximal task
+  /// can be rooted at — not for nodes strictly inside a unit.
   virtual void on_exit_fired(NodeId n) { (void)n; }
 
   /// Atomic unit `unit` finished on `proc` (vertices already fired).
@@ -175,7 +183,8 @@ class Scheduler {
   }
 };
 
-/// The shared simulator. Construct per run, then call run(policy).
+/// The shared simulator. Construct once, reset() per further run, and
+/// call run(policy) — with a fresh policy or one reused across runs.
 class SimCore {
  public:
   /// Runs on a shared, externally owned condensation. `dag` must outlive
@@ -200,6 +209,10 @@ class SimCore {
   const CondensedDag& dag() const { return *dag_; }
   const SpawnTree& tree() const { return dag_->tree(); }
   const Pmh& machine() const { return *m_; }
+  /// The options this run was bound with (reset()). Policies read theirs
+  /// here in init(), so one instance can serve runs with different σ, α'
+  /// or seeds.
+  const SchedOptions& options() const { return opts_; }
 
   std::size_t num_levels() const { return dag_->num_levels(); }
   /// σM_level-maximal decomposition (level in 1..num_levels()).
@@ -270,7 +283,8 @@ class SimCore {
     return dag_->decomposition(1).owner[dag_->graph().owner(v)] < 0;
   }
 
-  void fire_vertex(VertexId v);
+  /// Fires v; an exit vertex is reported to on_exit_fired iff report_exit.
+  void fire_vertex(VertexId v, bool report_exit = true);
   void cascade_all();
   /// Runs unit `u`'s footprint through every cache above `proc` (level 1
   /// up) in the occupancy layer; called once per assignment, at unit start.

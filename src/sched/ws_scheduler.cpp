@@ -22,16 +22,19 @@ namespace {
 /// bound when stealing scatters footprints.
 class WsScheduler final : public Scheduler {
  public:
-  explicit WsScheduler(const SchedOptions& opts)
-      : opts_(opts), rng_(opts.seed) {}
+  explicit WsScheduler(const SchedOptions&) {}
 
   const char* name() const override { return "ws"; }
 
   void init(SimCore& core) override {
     core_ = &core;
+    opts_ = core.options();
+    rng_ = Rng(opts_.seed);
     deque_.resize(core.machine().num_processors());
+    for (std::deque<int>& d : deque_) d.clear();
     resident_.assign(core.machine().num_processors(),
                      std::vector<int>(core.num_levels(), -2));
+    ready_.clear();
   }
 
   void on_start() override {
@@ -101,7 +104,7 @@ class WsScheduler final : public Scheduler {
     return lat;
   }
 
-  const SchedOptions opts_;
+  SchedOptions opts_;  // this run's, from the core
   SimCore* core_ = nullptr;
 
   std::vector<std::deque<int>> deque_;     // per processor

@@ -146,12 +146,12 @@ class CellRunner {
     }
 
     const CondensedDag& dag = *dags_[a.widx];
-    const auto sched = make_scheduler(policy_, opts);
+    if (!sched_) sched_ = make_scheduler(policy_, opts);
     if (core_)
       core_->reset(dag, m_, opts);
     else
       core_ = std::make_unique<SimCore>(dag, m_, opts);
-    const SchedStats stats = core_->run(*sched);
+    const SchedStats stats = core_->run(*sched_);
 
     JobRecord rec;
     rec.job = a.job;
@@ -325,9 +325,11 @@ class CellRunner {
   const std::vector<const CondensedDag*>& dags_;
   obs::TraceSink* sink_;
   bool edf_;
-  // One simulator core serves the whole stream: reset()-rebound per job,
+  // One simulator core and one policy instance serve the whole stream:
+  // reset()-rebound per job (the policy's init() restores its state),
   // occupancy carried across jobs when measuring.
   std::unique_ptr<SimCore> core_;
+  std::unique_ptr<Scheduler> sched_;
   std::vector<double> cum_misses_;  // occupancy counters are cumulative
   double cum_comm_ = 0.0;
 };

@@ -6,8 +6,10 @@
 //       bit-identical to fresh-build SimCore runs for all four policies
 //   X4  SimCore on a shared CondensedDag == SimCore building its own, bit
 //       for bit, and incompatible dag/machine/σ pairings are rejected;
-//       one reset()-reused core matches fresh cores across dags, machines
-//       and all four policies (occupancy layer included)
+//       one reset()-reused core running one reused policy instance per
+//       name matches fresh cores and fresh policies across dags, machines,
+//       seeds and all four policies (occupancy layer included); the
+//       condensation's task tree nests every level into the one above
 //   X5  the repeat axis varies only the seed, deterministically
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
 //   X7  the grid runner: a mid-size grid at --jobs=1/2/8 produces
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -302,11 +305,57 @@ TEST(CondensedDag, SharedDagMatchesOwnedBitIdentically) {  // X4
   EXPECT_TRUE(dag.compatible_with(m, o.sigma));
 }
 
+TEST(CondensedDag, TaskTreeNestsEveryLevel) {  // X4
+  // On every kernel and a three-level machine: a task's parent is the
+  // level-above task owning its root, children come in task-index order,
+  // and the children of one level partition the level below.
+  const Pmh m = make_pmh("deep4x4");
+  for (const char* spec :
+       {"mm:n=32", "trs:n=32", "cholesky:n=32", "lu:n=32", "lcs:n=64",
+        "gotoh:n=64", "fw1d:n=32", "fw2d:n=32",
+        "gen:family=sp,depth=6,seed=4,cross=60"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    for (double sigma : {1.0 / 3.0, 0.5}) {
+      const CondensedDag dag(w.graph(), level_cache_sizes(m), sigma);
+      const std::size_t L = dag.num_levels();
+      ASSERT_GE(L, 2u) << spec;
+      for (std::size_t l = 1; l <= L; ++l) {
+        const Decomposition& d = dag.decomposition(l);
+        std::size_t kids = 0;
+        for (int t = 0; t < int(d.maximal.size()); ++t) {
+          if (l == L) {
+            EXPECT_EQ(dag.task_parent(l, t), -1) << spec;
+          } else {
+            EXPECT_EQ(dag.task_parent(l, t),
+                      dag.decomposition(l + 1).owner[d.maximal[t]])
+                << spec << " L" << l << " task " << t;
+            EXPECT_GE(dag.task_parent(l, t), 0) << spec;
+          }
+          int prev = -1;
+          for (int c : dag.task_children(l, t)) {
+            EXPECT_GT(c, prev) << spec << " L" << l << " task " << t;
+            EXPECT_EQ(dag.task_parent(l - 1, c), t) << spec;
+            prev = c;
+            ++kids;
+          }
+        }
+        const std::size_t below =
+            l == 1 ? 0 : dag.decomposition(l - 1).maximal.size();
+        EXPECT_EQ(kids, below) << spec << " L" << l;
+      }
+    }
+  }
+}
+
 TEST(SimCore, ResetReusedCoreMatchesFreshAcrossPolicies) {  // X4
   // One core cycled through reset() across dags, machines, σ values and
   // all four policies (with the occupancy layer on, so its reuse path is
-  // covered too) must match a freshly constructed core bit for bit — the
-  // invariant that lets sweep chunks reuse one core per worker.
+  // covered too), running one policy instance per name across every
+  // binding, must match a fresh core running a fresh policy bit for bit —
+  // the invariant that lets sweep chunks and serve cells reuse one core
+  // and one policy per name. Each reused policy was constructed with the
+  // first binding's options, so this also checks that init() takes the
+  // run's options from the core.
   exp::Workload mm(exp::parse_workload("mm:n=16"));
   exp::Workload trs(exp::parse_workload("trs:n=16"));
   const Pmh deep = make_pmh("deep2x4");
@@ -328,18 +377,21 @@ TEST(SimCore, ResetReusedCoreMatchesFreshAcrossPolicies) {  // X4
 
   std::vector<std::unique_ptr<CondensedDag>> dags;
   std::unique_ptr<SimCore> reused;
+  std::map<std::string, std::unique_ptr<Scheduler>> reused_policy;
+  std::uint64_t seed = 7;
   for (const Binding& bind : bindings) {
     dags.push_back(std::make_unique<CondensedDag>(
         bind.w->graph(), level_cache_sizes(*bind.m), bind.o.sigma));
     const CondensedDag& dag = *dags.back();
     for (const char* name : kAllPolicies) {
       SchedOptions o = bind.o;
-      o.seed = 7;  // exercise a non-default ws seed through reset too
+      o.seed = seed++;  // a new ws steal seed on every run
       if (reused)
         reused->reset(dag, *bind.m, o);
       else
         reused = std::make_unique<SimCore>(dag, *bind.m, o);
-      const auto pol_a = make_scheduler(name, o);
+      std::unique_ptr<Scheduler>& pol_a = reused_policy[name];
+      if (!pol_a) pol_a = make_scheduler(name, o);
       const SchedStats a = reused->run(*pol_a);
       SimCore fresh(dag, *bind.m, o);
       const auto pol_b = make_scheduler(name, o);

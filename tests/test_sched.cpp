@@ -1,13 +1,20 @@
 // Tests of the space-bounded and work-stealing scheduler simulators:
 // completion, work conservation, Theorem 1 miss bounds, monotone speedup,
-// and the ND-vs-NP load-balance gap the schedulers are supposed to expose.
+// and the ND-vs-NP load-balance gap the schedulers are supposed to expose;
+// and a pin of the sb policy's exact output (stats and event stream).
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "algos/lcs.hpp"
 #include "algos/matmul.hpp"
 #include "algos/trs.hpp"
 #include "analysis/pcc.hpp"
+#include "exp/workload.hpp"
 #include "nd/drs.hpp"
+#include "obs/recorder.hpp"
+#include "pmh/presets.hpp"
+#include "sched/registry.hpp"
 #include "sched/sb_scheduler.hpp"
 #include "sched/ws_scheduler.hpp"
 
@@ -130,6 +137,113 @@ TEST(WsScheduler, DeterministicForFixedSeed) {
   const SchedStats b = run_ws_scheduler(g, m, o);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.steals, b.steals);
+}
+
+/// FNV-1a over 64-bit words; doubles enter by bit pattern, so any change
+/// in the last ulp shows.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void mix(double d) {
+    std::uint64_t x;
+    std::memcpy(&x, &d, sizeof x);
+    mix(x);
+  }
+  void mix(const std::vector<double>& v) {
+    mix(std::uint64_t(v.size()));
+    for (double d : v) mix(d);
+  }
+  void mix(const SchedStats& s) {
+    mix(s.makespan);
+    mix(s.total_work);
+    mix(s.misses);
+    mix(s.miss_cost);
+    mix(std::uint64_t(s.atomic_units));
+    mix(std::uint64_t(s.anchors));
+    mix(std::uint64_t(s.steals));
+    mix(s.utilization);
+    mix(s.measured_misses);
+    mix(s.comm_cost);
+    mix(s.measured_writebacks);
+    mix(s.contention_cost);
+  }
+  void mix(const obs::Event& e) {
+    mix(std::uint64_t(e.kind) | std::uint64_t(e.sub) << 8 |
+        std::uint64_t(e.a) << 32);
+    mix(e.t0);
+    mix(e.t1);
+    mix(std::uint64_t(e.b));
+    mix(std::uint64_t(e.c));
+    mix(e.value);
+    mix(e.words);
+  }
+};
+
+TEST(Sched, SbOutputIsPinned) {
+  // sb's every stat, on every kernel and gen family, across machine shapes,
+  // σ, α' and the occupancy layer on and off, plus the full event stream
+  // of one traced cell (units, queue waits, cache pin/unpin/hit/miss in
+  // emission order). Tie order shows in all of it — which pending task a
+  // release retries first, which cache an anchor picks — so a faster
+  // policy must reproduce these hashes exactly. Taken from the policy that
+  // rebuilt per-task vectors each run and re-queued every blocked task.
+  struct Case {
+    const char* spec;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"mm:n=32", 0x919212f642d0fe55ull},
+      {"trs:n=32", 0xff42e5b197fd7d80ull},
+      {"cholesky:n=32", 0xfe604aad4323c79eull},
+      {"lu:n=32", 0xfa8f6347fc8add5cull},
+      {"lcs:n=64", 0x1e9d615a75f29ab1ull},
+      {"gotoh:n=64", 0x8ceaab8c964f3a59ull},
+      {"fw1d:n=32", 0xb7c20d39d5393f72ull},
+      {"fw2d:n=32", 0xd07a4b90b2832f72ull},
+      {"gen:family=sp,seed=1,cross=60", 0x402cd12b4918dfb5ull},
+      {"gen:family=sp,depth=6,seed=4,cross=60", 0x22226e46cf66a4b9ull},
+      {"gen:family=wavefront,n=8", 0x42697e110a312e15ull},
+      {"gen:family=chain,n=12", 0xa1c7355ef5de61eeull},
+      {"gen:family=forkjoin,depth=3,fan=4", 0x6a37d2ba98f226aaull},
+      {"gen:family=diamond,depth=3,fan=3", 0x86002ad150cd0b75ull},
+  };
+  const Pmh machines[] = {make_pmh("flat16"), make_pmh("deep2x4"),
+                          make_pmh("deep4x4")};
+  for (const Case& c : cases) {
+    const exp::Workload w(exp::parse_workload(c.spec));
+    Fnv h;
+    for (const Pmh& m : machines)
+      for (double sigma : {1.0 / 3.0, 0.5}) {
+        const CondensedDag dag(w.graph(), level_cache_sizes(m), sigma);
+        for (double alpha : {1.0, 0.5})
+          for (bool misses : {false, true}) {
+            SchedOptions o;
+            o.sigma = sigma;
+            o.alpha_prime = alpha;
+            o.measure_misses = misses;
+            SimCore core(dag, m, o);
+            h.mix(core.run(*make_scheduler("sb", o)));
+          }
+      }
+    // The traced cell: the deepest machine, σ = 1/3, α' = 1/2, misses on.
+    obs::EventRecorder rec;
+    SchedOptions o;
+    o.alpha_prime = 0.5;
+    o.measure_misses = true;
+    o.sink = &rec;
+    const CondensedDag dag(w.graph(), level_cache_sizes(machines[2]),
+                           o.sigma);
+    SimCore core(dag, machines[2], o);
+    h.mix(core.run(*make_scheduler("sb", o)));
+    h.mix(std::uint64_t(rec.events().size()));
+    for (const obs::Event& e : rec.events()) h.mix(e);
+    EXPECT_EQ(h.h, c.hash) << c.spec;
+  }
 }
 
 }  // namespace
