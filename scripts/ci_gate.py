@@ -10,10 +10,13 @@ serve   ndf_serve --soak timed at --jobs=1 vs 4 (every same-seed rerun must
 native  ndf_native --smoke, the 1-vs-4-thread scaling grid (which writes
         BENCH_native.json) and hard accounting-sanity bounds on it.
 
-Any byte difference fails and names the file; the timed runs (best of 3)
-are also the identity runs. A speedup below target only warns, as shared
-runners are too noisy for a hard latency gate: PERF_GATE_STRICT=1 makes it
-fail. STRESS_REPEAT sets the stress grid's repeat axis (default 4; 7 is
+Any byte difference fails and names the file; the timed runs are also
+the identity runs. The sweep gate's timed grids alternate --jobs=1 and
+--jobs=4 runs over 5 rounds and compare medians, so a drift in host load
+hits both sides; it records each side's spread and the host's steal ticks.
+The serve gate keeps the best of 3 per side. A speedup below target only
+warns, as shared runners are too noisy for a hard latency gate:
+PERF_GATE_STRICT=1 makes it fail. STRESS_REPEAT sets the stress grid's repeat axis (default 4; 7 is
 the binary's own grid).
 """
 import argparse
@@ -21,6 +24,7 @@ import filecmp
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -93,28 +97,40 @@ class Gate:
                            label)
         print(f"OK: {label} byte-identical")
 
-    def pair(self, driver, name, label, *args, reps=1):
-        """Runs a grid `reps` times at --jobs=1 and at --jobs=JOBS: every
-        rerun and the parallel run must equal the first serial run. Returns
-        the BENCH record (grid, raw walls, best wall, peak RSS, speedup)."""
+    def pair(self, driver, name, label, *args, reps=1, median=False):
+        """Runs a grid `reps` times at --jobs=1 and at --jobs=JOBS, the two
+        alternating: every rerun and the parallel run must equal the first
+        serial run. Returns the BENCH record (grid, raw walls, the best or,
+        with `median`, the median wall and its spread, peak RSS, speedup)."""
         rec = {"grid": " ".join((driver, *args))}
-        for jobs, key in ((1, "serial"), (JOBS, "parallel")):
-            walls, rss = [], 0
-            for rep in range(reps):
+        sides = ((1, "serial"), (JOBS, "parallel"))
+        walls = {key: [] for _, key in sides}
+        rss = {key: 0 for _, key in sides}
+        for rep in range(reps):
+            for jobs, key in sides:
                 prefix = f"{name}-{key}" + ("-rerun" if rep else "")
                 wall, peak = self.run(driver, prefix, *args, f"--jobs={jobs}")
-                walls.append(round(wall, 4))
-                rss = max(rss, peak)
+                walls[key].append(round(wall, 4))
+                rss[key] = max(rss[key], peak)
                 if rep:
                     self.identical(f"{name}-{key}", prefix,
                                    f"{label} rerun {rep} at --jobs={jobs}")
-            rec[f"{key}_wall_runs_s"] = walls
-            rec[f"{key}_wall_s"] = min(walls)
-            rec[f"{key}_peak_rss_kb"] = rss
+        for _, key in sides:
+            w = walls[key]
+            rec[f"{key}_wall_runs_s"] = w
+            rec[f"{key}_wall_s"] = statistics.median(w) if median else min(w)
+            if median:
+                # Range over median: how far apart the rounds were.
+                rec[f"{key}_wall_spread"] = round(
+                    (max(w) - min(w)) / rec[f"{key}_wall_s"], 3)
+            rec[f"{key}_peak_rss_kb"] = rss[key]
         self.identical(f"{name}-serial", f"{name}-parallel",
                        f"{label}, --jobs=1 vs --jobs={JOBS}")
         rec["speedup"] = round(rec["serial_wall_s"] / rec["parallel_wall_s"],
                                3)
+        if median:
+            rec["speedup_runs"] = [round(a / b, 3) for a, b in
+                                   zip(walls["serial"], walls["parallel"])]
         return rec
 
     def traced(self, driver, untraced, label, cats, *args):
@@ -179,6 +195,22 @@ def grid_results(recs):
 
 TIMING = ("best of 3 runs per grid (raw per-run walls in *_wall_runs_s); "
           "peak RSS of each run via wait4 rusage")
+SWEEP_ROUNDS = 5
+SWEEP_TIMING = (f"median of {SWEEP_ROUNDS} alternated --jobs=1/--jobs={JOBS} "
+                "rounds per grid (raw per-run walls in *_wall_runs_s, "
+                "(max - min) / median in *_wall_spread, per-round speedups "
+                "in speedup_runs); peak RSS of each run via wait4 rusage")
+
+
+def steal_ticks():
+    """The host's cumulative steal time from /proc/stat (USER_HZ ticks), or
+    None where the file is missing."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        return int(fields[8]) if fields[0] == "cpu" else None
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def gate_sweep(g):
@@ -205,13 +237,20 @@ def gate_sweep(g):
           "(BENCH_cache_miss.json)", sep="\n")
 
     stress = ("--stress", "--repeat=" + os.environ.get("STRESS_REPEAT", "4"))
+    steal0 = steal_ticks()
     recs = {"gate": g.pair("ndf_sweep", "gate", "perf grid", *GATE_GRID,
-                           reps=3),
+                           reps=SWEEP_ROUNDS, median=True),
             "stress": g.pair("ndf_sweep", "stress", "stress grid", *stress,
-                             reps=3)}
+                             reps=SWEEP_ROUNDS, median=True)}
+    steal1 = steal_ticks()
+    host = {"nproc": os.cpu_count(), "steal_ticks_before": steal0,
+            "steal_ticks_after": steal1,
+            "steal_ticks": None if steal0 is None or steal1 is None
+            else steal1 - steal0}
     g.write_bench("BENCH_sweep_parallel.json", {
         "bench": "sweep_parallel", "jobs": JOBS,
-        "min_speedup": MIN_SPEEDUP["sweep"], "timing": TIMING, **recs})
+        "min_speedup": MIN_SPEEDUP["sweep"], "timing": SWEEP_TIMING,
+        "host": host, **recs})
     speedup_verdict(grid_results(recs), MIN_SPEEDUP["sweep"])
 
 

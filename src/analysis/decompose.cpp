@@ -15,10 +15,11 @@ Decomposition decompose(const SpawnTree& tree, double M) {
     const NodeId n = stack.back();
     stack.pop_back();
     const SpawnNode& node = tree.node(n);
-    const bool cut = tree.size_of(n) <= M || node.kind == Kind::Strand;
-    if (cut) {
+    const double size = tree.size_of(n);
+    if (size <= M || node.kind == Kind::Strand) {
       const int idx = static_cast<int>(d.maximal.size());
       d.maximal.push_back(n);
+      d.maximal_size.push_back(size);
       // Mark the whole maximal subtree, strands included.
       sub.assign(1, n);
       while (!sub.empty()) {

@@ -15,6 +15,9 @@ struct Decomposition {
   double M = 0.0;
   /// Roots of the M-maximal subtrees, in tree order.
   std::vector<NodeId> maximal;
+  /// Size s(t) of each maximal task (SpawnTree::size_of of its root),
+  /// parallel to `maximal`.
+  std::vector<double> maximal_size;
   /// Glue nodes (strictly above every maximal task).
   std::vector<NodeId> glue;
   /// Per spawn-tree node: index into `maximal` of the covering maximal

@@ -1,5 +1,6 @@
 #include "sched/condensed_dag.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "pmh/machine.hpp"
@@ -23,7 +24,7 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
     : g_(&g), tree_(&g.tree()), sigma_(sigma), sizes_(std::move(sizes)) {
   NDF_CHECK(sigma_ > 0.0 && sigma_ < 1.0);
   NDF_CHECK_MSG(!sizes_.empty(), "condensation needs at least one cache level");
-  ++g_builds;
+  build_id_ = ++g_builds;
 
   const std::size_t L = sizes_.size();
   for (std::size_t l = 2; l <= L; ++l)
@@ -60,7 +61,7 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
   level_footprint_.assign(L, 0.0);
   for (std::size_t l = 1; l <= L; ++l)
     for (std::size_t t = 0; t < dec_[l - 1].maximal.size(); ++t) {
-      const double s = tree_->size_of(dec_[l - 1].maximal[t]);
+      const double s = dec_[l - 1].maximal_size[t];
       task_size_[ext_off_[l - 1] + t] = s;
       level_footprint_[l - 1] += s;
     }
@@ -85,38 +86,89 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
       first[q] = int(n);
   }
 
-  unit_work_.resize(num_units());
-  for (std::size_t u = 0; u < num_units(); ++u) {
-    unit_work_[u] = tree_->work_of(dec_[0].maximal[u]);
-    total_work_ += unit_work_[u];
+  // Control vertices: both vertices of every node outside the atomic
+  // units, numbered in vertex order. ctrl_base[n] is the number of node
+  // n's enter vertex when n is such a node (its exit is the next number).
+  const std::vector<int>& unit_of = dec_[0].owner;
+  const std::size_t controls =
+      2 * std::size_t(std::count(unit_of.begin(), unit_of.end(), -1));
+  ctrl_vertex_.reserve(controls);
+  ctrl_in_deg0_.reserve(controls);
+  std::vector<std::uint32_t> ctrl_base(tree_->num_nodes());
+  for (NodeId n = 0; n < tree_->num_nodes(); ++n) {
+    ctrl_base[n] = std::uint32_t(ctrl_vertex_.size());
+    if (unit_of[n] >= 0) continue;
+    for (const VertexId v : {g_->enter(n), g_->exit(n)}) {
+      if (g_->in_degree(v) == 0)
+        ctrl_ready0_.push_back(std::uint32_t(ctrl_vertex_.size()));
+      ctrl_vertex_.push_back(v);
+      ctrl_in_deg0_.push_back(std::uint32_t(g_->in_degree(v)));
+    }
   }
 
-  // Dependence-counter template and the per-edge arrow CSR, built by the
-  // one boundary-crossing walk (for_each_external_arrow). Edge ids follow
-  // (vertex, successor-index) order — exactly the order SimCore's firing
-  // loop visits them — so the event loop replays this walk as a linear
-  // scan of arrows_ instead of re-deriving it per fire.
-  edge_base_.resize(g_->num_vertices());
-  arrow_off_.reserve(g_->num_edges() + 1);
-  arrow_off_.push_back(0);
-  std::size_t e = 0;
-  for (VertexId v = 0; v < g_->num_vertices(); ++v) {
-    edge_base_[v] = e;
-    for (VertexId w : g_->successors(v)) {
+  // Dependence-counter template and the effect lists, built by the one
+  // boundary-crossing walk (for_each_external_arrow) over every edge: each
+  // vertex belongs to exactly one unit or is a control vertex, so every
+  // edge is visited once, from its source's list.
+  std::size_t edges = 0;
+  auto add_vertex = [&](VertexId v) {
+    const std::span<const VertexId> succ = g_->successors(v);
+    edges += succ.size();
+    for (VertexId w : succ) {
       for_each_external_arrow(v, w, [&](std::size_t l, int t) {
         const std::size_t flat = ext_off_[l - 1] + std::size_t(t);
         ++ext0_flat_[flat];
-        arrows_.push_back({std::uint32_t(flat), std::uint32_t(l)});
+        effects_.push_back({std::uint32_t(flat), std::uint32_t(l)});
       });
-      arrow_off_.push_back(std::uint32_t(arrows_.size()));
-      ++e;
+      const NodeId nw = g_->owner(w);
+      if (unit_of[nw] < 0)
+        effects_.push_back({ctrl_base[nw] + (g_->is_exit(w) ? 1 : 0), 0});
     }
+  };
+  auto close_list = [&] {
+    NDF_CHECK_MSG(effects_.size() <= UINT32_MAX, "too many firing effects");
+    effect_off_.push_back(std::uint32_t(effects_.size()));
+  };
+  effect_off_.reserve(num_units() + ctrl_vertex_.size() + 1);
+  effect_off_.push_back(0);
+  // A unit's left-to-right post-order, one explicit DFS per unit. The same
+  // walk sums the unit's work exactly as SpawnTree::work_of does: a
+  // strand's own work, else its children's works added left to right.
+  struct Visit {
+    NodeId node;
+    std::uint32_t next;  // next child to descend into
+    double work;         // children's works summed so far
+  };
+  std::vector<Visit> stack;
+  unit_work_.resize(num_units());
+  for (std::size_t u = 0; u < num_units(); ++u) {
+    stack.push_back({dec_[0].maximal[u], 0, 0.0});
+    while (true) {
+      Visit& top = stack.back();
+      const SpawnNode& node = tree_->node(top.node);
+      if (top.next < node.children.size()) {
+        stack.push_back({node.children[top.next++], 0, 0.0});
+        continue;
+      }
+      add_vertex(g_->enter(top.node));
+      add_vertex(g_->exit(top.node));
+      const double work = node.kind == Kind::Strand ? node.work : top.work;
+      stack.pop_back();
+      if (stack.empty()) {
+        unit_work_[u] = work;
+        break;
+      }
+      stack.back().work += work;
+    }
+    total_work_ += unit_work_[u];
+    close_list();
   }
-  NDF_CHECK(e == g_->num_edges());
-
-  in_deg0_.resize(g_->num_vertices());
-  for (VertexId v = 0; v < g_->num_vertices(); ++v)
-    in_deg0_[v] = g_->in_degree(v);
+  for (VertexId v : ctrl_vertex_) {
+    add_vertex(v);
+    close_list();
+  }
+  NDF_CHECK(edges == g_->num_edges());
+  effects_.shrink_to_fit();
 }
 
 bool CondensedDag::compatible_with(const Pmh& machine, double sigma) const {

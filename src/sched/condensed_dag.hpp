@@ -1,8 +1,9 @@
 // Immutable condensation of an elaborated strand DAG against a cache-size
 // profile: the per-level σM-maximal decompositions, unit work, task→unit
 // counts, and the external-dependence templates every simulation run starts
-// from. Building one is the expensive part of simulating a policy (it walks
-// the spawn tree once per level and every DAG edge once per level); running
+// from, and every unit's completion frozen into a flat list of effects.
+// Building one is the expensive part of simulating a policy (it walks the
+// spawn tree once per level and every DAG edge once per level); running
 // a policy on top of it is cheap. A sweep over 4 policies × N machines with
 // the same cache sizes therefore builds the condensation once and shares it
 // across all 4N runs (see src/exp/sweep.hpp), instead of rebuilding it
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ranges>
+#include <span>
 #include <vector>
 
 #include "analysis/decompose.hpp"
@@ -62,9 +64,9 @@ class CondensedDag {
   /// Invokes fn(level, task) for every level at which edge (v, w) is an
   /// external incoming arrow of w's maximal task — the boundary-crossing
   /// walk the construction-time template build runs per edge. The event
-  /// loop never re-walks it: the result is frozen into the per-edge arrow
-  /// CSR below, so the +1 template and SimCore's -1 decrements are
-  /// literally the same data and can never diverge.
+  /// loop never re-walks it: the result is frozen into the effect lists
+  /// below, so the +1 template and SimCore's -1 decrements are literally
+  /// the same data and can never diverge.
   template <typename Fn>
   void for_each_external_arrow(VertexId v, VertexId w, Fn&& fn) const {
     const NodeId nu = g_->owner(v), nv = g_->owner(w);
@@ -79,10 +81,7 @@ class CondensedDag {
   //
   // All per-(level, task) counters of a run live in ONE flat arena indexed
   // by ext_off(level) + task; a SimCore reset is a single vector assign
-  // from initial_ext_flat() instead of L allocations. The per-edge arrow
-  // CSR precomputes, for every DAG edge in (vertex, successor-index) order,
-  // which flat counters the edge decrements when it fires — the event
-  // loop's hottest walk reduced to a linear scan of precomputed entries.
+  // from initial_ext_flat() instead of L allocations.
 
   /// Offset of level `level`'s counters in the flat (level, task) arena.
   std::size_t ext_off(std::size_t level) const { return ext_off_[level - 1]; }
@@ -91,27 +90,53 @@ class CondensedDag {
   /// Initial unsatisfied external dataflow arrows, flat arena layout — the
   /// template a run copies its mutable counters from.
   const std::vector<int>& initial_ext_flat() const { return ext0_flat_; }
-  /// Initial in-degree per DAG vertex, same role.
-  const std::vector<std::uint32_t>& initial_in_degree() const {
-    return in_deg0_;
-  }
 
-  /// One precomputed external-arrow decrement: edge fires → --arena[flat],
-  /// and on reaching zero the level-`level` task `flat - ext_off(level)`
-  /// became ready.
-  struct ArrowRef {
-    std::uint32_t flat;   ///< index into the flat (level, task) arena
-    std::uint32_t level;  ///< cache level of the crossing (1-based)
+  // --- frozen firing effects ----------------------------------------------
+  //
+  // Firing a vertex has two observable effects per out-edge (v, w): one
+  // decrement of a (level, task) external-arrow counter per level the edge
+  // crosses into w's maximal task, and — when w is a control vertex (one
+  // outside every atomic unit) — a decrement of w's in-degree, which
+  // cascades w at zero. Edges into unit vertices have no observable
+  // in-degree effect: unit vertices fire only when their unit completes.
+  //
+  // A unit's vertices always fire in one fixed order: the left-to-right
+  // post-order of its subtree, enter then exit per node, so the unit
+  // root's exit fires last. Node ids are not post-order in every unit, so
+  // the order is computed explicitly at build time. Each unit's effects, in
+  // that order and then per vertex in successor order, and each control
+  // vertex's own effects are stored as one flat CSR of 8-byte entries:
+  // list u is unit u's, list num_units() + c is control vertex c's.
+  // Control vertices are numbered in vertex order.
+
+  /// One frozen effect: level > 0 decrements flat counter `index` (the
+  /// level-`level` task `index - ext_off(level)` becomes ready at zero);
+  /// level == 0 decrements the in-degree of control vertex `index`.
+  struct Effect {
+    std::uint32_t index;
+    std::uint32_t level;
   };
-  /// Id of vertex v's first outgoing edge; edge ids follow successor order,
-  /// so v's i-th successor is edge `edge_base(v) + i`.
-  std::size_t edge_base(VertexId v) const { return edge_base_[v]; }
-  /// External arrows of edge `e`, as [begin, end) into one shared arena.
-  const ArrowRef* arrows_begin(std::size_t e) const {
-    return arrows_.data() + arrow_off_[e];
+  /// Effects of completing unit `u`, in firing order.
+  std::span<const Effect> unit_effects(int u) const {
+    return effects(std::size_t(u));
   }
-  const ArrowRef* arrows_end(std::size_t e) const {
-    return arrows_.data() + arrow_off_[e + 1];
+  /// Effects of firing control vertex `c`.
+  std::span<const Effect> control_effects(std::uint32_t c) const {
+    return effects(num_units() + c);
+  }
+  /// Number of control vertices (vertices owned by no atomic unit).
+  std::size_t num_controls() const { return ctrl_vertex_.size(); }
+  /// Vertex id of control vertex `c`.
+  VertexId control_vertex(std::uint32_t c) const { return ctrl_vertex_[c]; }
+  /// Initial in-degree per control vertex — the template a run copies its
+  /// cascade counters from.
+  const std::vector<std::uint32_t>& initial_control_in_degree() const {
+    return ctrl_in_deg0_;
+  }
+  /// Control vertices with no predecessors, in vertex order: the seeds of
+  /// every run's initial cascade.
+  const std::vector<std::uint32_t>& initially_ready_controls() const {
+    return ctrl_ready0_;
   }
 
   /// Level-`level` maximal task containing unit `u` (flat table — the hot
@@ -166,10 +191,20 @@ class CondensedDag {
   /// Process-wide count of condensations ever built. Tests assert reuse by
   /// differencing it around a sweep ("built exactly once per workload×σ").
   static std::size_t total_builds();
+  /// This condensation's position in that count (1-based): unique for the
+  /// life of the process, so caches keyed by it cannot be fooled by a freed
+  /// dag whose address is reused.
+  std::size_t build_id() const { return build_id_; }
 
  private:
+  std::span<const Effect> effects(std::size_t list) const {
+    return {effects_.data() + effect_off_[list],
+            effects_.data() + effect_off_[list + 1]};
+  }
+
   const StrandGraph* g_;
   const SpawnTree* tree_;
+  std::size_t build_id_ = 0;
   double sigma_;
   std::vector<double> sizes_;
 
@@ -180,11 +215,13 @@ class CondensedDag {
 
   std::vector<std::size_t> ext_off_;   // [l-1] = arena offset of level l
   std::vector<int> ext0_flat_;         // flat (level, task) template
-  std::vector<std::uint32_t> in_deg0_;
 
-  std::vector<std::size_t> edge_base_;   // [v] = id of v's first out-edge
-  std::vector<std::uint32_t> arrow_off_; // [e..e+1) spans arrows_
-  std::vector<ArrowRef> arrows_;         // external-arrow decrement lists
+  // Effect lists: [units + controls + 1] offsets into effects_.
+  std::vector<std::uint32_t> effect_off_;
+  std::vector<Effect> effects_;
+  std::vector<VertexId> ctrl_vertex_;        // [c] = vertex id
+  std::vector<std::uint32_t> ctrl_in_deg0_;  // [c] = initial in-degree
+  std::vector<std::uint32_t> ctrl_ready0_;   // c with in-degree 0, in order
 
   std::vector<std::uint32_t> unit_task_; // [(l-1)*units + u] = task at l
   std::vector<double> task_size_;        // flat arena: s(t) per (level, task)

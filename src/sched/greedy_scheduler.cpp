@@ -66,6 +66,8 @@ class GreedyScheduler final : public Scheduler {
     return {u, (*unit_dur_)[u]};
   }
 
+  bool nothing_queued() const override { return head_ == ready_.size(); }
+
  private:
   const char* name_;
   SimCore* core_ = nullptr;

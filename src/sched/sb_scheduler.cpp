@@ -124,6 +124,8 @@ class SbScheduler final : public Scheduler {
     return {};
   }
 
+  bool nothing_queued() const override { return queued_ == 0; }
+
  private:
   /// One anchoring attempt on the work-list: level-`level` task `task`, or
   /// (task == kBatch) the next task of that level's retry batch.

@@ -49,6 +49,8 @@ class SerialScheduler final : public Scheduler {
     return {u, (*unit_dur_)[u]};
   }
 
+  bool nothing_queued() const override { return ready_.empty(); }
+
  private:
   SimCore* core_ = nullptr;
   const std::vector<double>* unit_dur_ = nullptr;  // core's cached table

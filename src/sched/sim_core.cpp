@@ -24,9 +24,8 @@ void SimCore::reset(const CondensedDag& dag, const Pmh& machine,
 void SimCore::init_run_state() {
   const std::vector<int>& ext0 = dag_->initial_ext_flat();
   ext_.assign(ext0.begin(), ext0.end());
-  const std::vector<std::uint32_t>& deg0 = dag_->initial_in_degree();
-  in_deg_.assign(deg0.begin(), deg0.end());
-  fired_.assign(dag_->graph().num_vertices(), 0);
+  const std::vector<std::uint32_t>& deg0 = dag_->initial_control_in_degree();
+  ctrl_in_deg_.assign(deg0.begin(), deg0.end());
   cascade_.clear();
   events_.clear();
   idle_.clear();
@@ -106,24 +105,47 @@ void SimCore::touch_unit(std::size_t proc, int u) {
 }
 
 const std::vector<double>& SimCore::distributed_unit_durations() const {
-  if (dur_dag_ == dag_ && dur_machine_ == m_ &&
-      dur_charge_ == opts_.charge_misses)
-    return dur_;
-  dur_.assign(num_units(), 0.0);
-  for (std::size_t u = 0; u < num_units(); ++u) {
-    double charge = 0.0;
-    if (opts_.charge_misses)
-      for (std::size_t l = 1; l <= num_levels(); ++l) {
-        const int t = dag_->unit_task(l, u);
-        charge += dag_->task_size(l, t) * m_->miss_cost(l) /
-                  double(dag_->task_units(l, t));
-      }
-    dur_[u] = dag_->unit_work(u) + charge;
+  const std::size_t L = num_levels();
+  const bool charge = opts_.charge_misses;
+  const auto bound_to = [&](const DurTable& t) {
+    if (t.dag_id != dag_->build_id() || t.charge != charge) return false;
+    for (std::size_t l = 1; l <= t.miss_costs.size(); ++l)
+      if (t.miss_costs[l - 1] != m_->miss_cost(l)) return false;
+    return true;
+  };
+  for (auto it = dur_.begin(); it != dur_.end(); ++it)
+    if (bound_to(**it)) {
+      std::rotate(dur_.begin(), it, it + 1);  // most recently used first
+      return dur_.front()->dur;
+    }
+
+  // A new binding: reuse the least recently used table once all are taken.
+  std::unique_ptr<DurTable> t;
+  if (dur_.size() == kDurTables) {
+    t = std::move(dur_.back());
+    dur_.pop_back();
+  } else {
+    t = std::make_unique<DurTable>();
   }
-  dur_dag_ = dag_;
-  dur_machine_ = m_;
-  dur_charge_ = opts_.charge_misses;
-  return dur_;
+  t->dag_id = dag_->build_id();
+  t->charge = charge;
+  t->miss_costs.clear();
+  if (charge)
+    for (std::size_t l = 1; l <= L; ++l)
+      t->miss_costs.push_back(m_->miss_cost(l));
+  t->dur.assign(num_units(), 0.0);
+  for (std::size_t u = 0; u < num_units(); ++u) {
+    double c = 0.0;
+    if (charge)
+      for (std::size_t l = 1; l <= L; ++l) {
+        const int task = dag_->unit_task(l, u);
+        c += dag_->task_size(l, task) * m_->miss_cost(l) /
+             double(dag_->task_units(l, task));
+      }
+    t->dur[u] = dag_->unit_work(u) + c;
+  }
+  dur_.insert(dur_.begin(), std::move(t));
+  return dur_.front()->dur;
 }
 
 std::vector<int> SimCore::initially_ready_units() const {
@@ -151,73 +173,57 @@ SimCore::Ev SimCore::pop_event() {
   return e;
 }
 
-void SimCore::fire_vertex(VertexId v, bool report_exit) {
-  if (fired_[v]) return;
-  fired_[v] = 1;
-  const StrandGraph& g = dag_->graph();
-  const std::span<const VertexId> succ = g.successors(v);
-  std::size_t e = dag_->edge_base(v);
-  for (std::size_t i = 0; i < succ.size(); ++i, ++e) {
-    const VertexId w = succ[i];
-    // Precomputed external-arrow decrements of edge (v, w): the same
-    // boundary-crossing walk the +1 template was built from, frozen into
-    // the dag's arrow CSR at condensation time.
-    for (const CondensedDag::ArrowRef* a = dag_->arrows_begin(e);
-         a != dag_->arrows_end(e); ++a) {
-      int& cnt = ext_[a->flat];
-      if (--cnt == 0) {
-        // Tracing: a unit's queue wait starts when its last external
-        // dependence is satisfied (units ready at t=0 keep the default 0).
-        if (!ready_at_.empty() && a->level == 1)
-          ready_at_[a->flat - dag_->ext_off(1)] = now_;
-        if (ready_hooks_enabled_)
-          policy_->on_task_ready(a->level,
-                                 int(a->flat - dag_->ext_off(a->level)));
-      }
+void SimCore::apply(std::span<const CondensedDag::Effect> effects) {
+  for (const CondensedDag::Effect& e : effects) {
+    if (e.level == 0) {
+      if (--ctrl_in_deg_[e.index] == 0) cascade_.push_back(e.index);
+      continue;
     }
-    if (--in_deg_[w] == 0 && !fired_[w] && is_control(w))
-      cascade_.push_back(w);
+    if (--ext_[e.index] == 0) {
+      // Tracing: a unit's queue wait starts when its last external
+      // dependence is satisfied (units ready at t=0 keep the default 0).
+      if (!ready_at_.empty() && e.level == 1)
+        ready_at_[e.index - dag_->ext_off(1)] = now_;
+      if (ready_hooks_enabled_)
+        policy_->on_task_ready(e.level,
+                               int(e.index - dag_->ext_off(e.level)));
+    }
   }
-  if (report_exit && g.is_exit(v)) policy_->on_exit_fired(g.owner(v));
+}
+
+void SimCore::fire_control(std::uint32_t c) {
+  apply(dag_->control_effects(c));
+  const VertexId v = dag_->control_vertex(c);
+  if (StrandGraph::is_exit(v)) policy_->on_exit_fired(StrandGraph::owner(v));
 }
 
 void SimCore::cascade_all() {
   while (!cascade_.empty()) {
-    VertexId v = cascade_.back();
+    const std::uint32_t c = cascade_.back();
     cascade_.pop_back();
-    fire_vertex(v);
+    fire_control(c);
   }
 }
 
 void SimCore::complete_unit(int u) {
-  const NodeId root = dag_->unit_root(u);
-  walk_stack_.clear();
-  walk_order_.clear();
-  walk_stack_.push_back(root);
-  while (!walk_stack_.empty()) {
-    NodeId n = walk_stack_.back();
-    walk_stack_.pop_back();
-    walk_order_.push_back(n);
-    for (NodeId c : tree().node(n).children) walk_stack_.push_back(c);
-  }
-  const StrandGraph& g = dag_->graph();
-  // Children before parents so the unit root's exit fires last. Only the
-  // root's exit is reported: no maximal task is rooted strictly inside a
-  // unit.
-  for (auto it = walk_order_.rbegin(); it != walk_order_.rend(); ++it) {
-    fire_vertex(g.enter(*it));
-    fire_vertex(g.exit(*it), *it == root);
-  }
+  // Only the root's exit is reported: no maximal task is rooted strictly
+  // inside a unit, and the root's exit is the unit's last vertex to fire.
+  apply(dag_->unit_effects(u));
+  policy_->on_exit_fired(dag_->unit_root(u));
   cascade_all();
 }
 
 void SimCore::dispatch(double now) {
   now_ = now;
-  still_idle_.clear();
-  for (std::size_t p : idle_) {
+  // Picks run in idle order and the processors left idle keep it, so the
+  // idle list is compacted in place; once the policy has nothing queued,
+  // the unasked rest stays idle as it is.
+  std::size_t i = 0, kept = 0;
+  for (; i < idle_.size() && !policy_->nothing_queued(); ++i) {
+    const std::size_t p = idle_[i];
     const Assignment a = policy_->pick(p, now);
     if (a.unit < 0) {
-      still_idle_.push_back(p);
+      idle_[kept++] = p;
       continue;
     }
     busy_time_ += a.duration;
@@ -234,7 +240,9 @@ void SimCore::dispatch(double now) {
     }
     push_event(Ev{now + a.duration, p, a.unit});
   }
-  idle_.swap(still_idle_);
+  const auto rest = std::copy(idle_.begin() + std::ptrdiff_t(i), idle_.end(),
+                              idle_.begin() + std::ptrdiff_t(kept));
+  idle_.erase(rest, idle_.end());
 }
 
 SchedStats SimCore::run(Scheduler& policy) {
@@ -247,11 +255,11 @@ SchedStats SimCore::run(Scheduler& policy) {
 
   for (std::size_t p = 0; p < m_->num_processors(); ++p) idle_.push_back(p);
 
-  // Initial cascade: fire every dependency-free control vertex. Readiness
-  // hooks stay off — the on_start scans cover everything ready at time 0.
-  const StrandGraph& g = dag_->graph();
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (in_deg_[v] == 0 && !fired_[v] && is_control(v)) cascade_.push_back(v);
+  // Initial cascade: fire every dependency-free control vertex (the dag
+  // keeps them in vertex order). Readiness hooks stay off — the on_start
+  // scans cover everything ready at time 0.
+  const std::vector<std::uint32_t>& seeds = dag_->initially_ready_controls();
+  cascade_.assign(seeds.begin(), seeds.end());
   cascade_all();
 
   ready_hooks_enabled_ = true;

@@ -10,17 +10,22 @@
 // and what latency it is charged (see DESIGN.md, "Simulator architecture").
 //
 // The static half of the machinery — decompositions, unit work, dependence
-// templates — lives in an immutable CondensedDag. SimCore is the cheap
-// per-run half: mutable counters, the event queue, and stats. A SimCore
-// runs on a borrowed CondensedDag, so a sweep reuses one condensation
-// across policies and machines; one-shot callers build a local dag (as
-// run_scheduler does). One instance is reusable across runs:
-// reset(dag, machine, opts) rebinds it and restores every counter arena
-// from the dag's templates while keeping all buffer capacity — the sweep
-// engine runs thousands of grid cells through one worker-local core with
-// zero per-cell allocation churn (mutable state lives in flat arenas, the
-// event queue is a plain vector-heap, and the distributed duration table
-// is cached across runs that share a (dag, machine, charge) binding).
+// templates and every unit's completion frozen into a flat effect list —
+// lives in an immutable CondensedDag. SimCore is the cheap per-run half:
+// mutable counters, the event queue, and stats. Completing a unit is one
+// contiguous scan of its effect list; the event loop never walks the spawn
+// tree or the strand graph. A SimCore runs on a borrowed CondensedDag, so
+// a sweep reuses one condensation across policies and machines; one-shot
+// callers build a local dag (as run_scheduler does). One instance is
+// reusable across runs: reset(dag, machine, opts) rebinds it and restores
+// every counter arena from the dag's templates while keeping all buffer
+// capacity — the sweep engine runs thousands of grid cells through one
+// worker-local core with zero per-cell allocation churn (mutable state
+// lives in flat arenas, the event queue is a plain vector-heap, and the
+// core keeps one distributed duration table per (dag, miss costs, charge)
+// binding it has seen, so a serve stream alternating workloads reuses
+// them). After each completion the core offers work to its idle
+// processors only while the policy reports something queued.
 //
 // The split keeps policies small: SB is anchoring/boundedness/allocation,
 // WS is victim selection plus the footprint-reload cache model, greedy and
@@ -31,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -160,6 +166,16 @@ class Scheduler {
   /// negative unit to leave it idle.
   virtual Assignment pick(std::size_t proc, double now) = 0;
 
+  /// True when the policy has nothing queued: pick() would return no unit
+  /// on every processor and change no state. The core then stops asking
+  /// the remaining idle processors until the next completion, so a policy
+  /// returning true must make skipping its picks unobservable. Checked
+  /// before every pick() of a dispatch round; nothing becomes ready inside
+  /// one. The default, false, means every idle processor is always asked —
+  /// for a policy whose empty pick has effects (ws draws its steal victims
+  /// from a seeded stream either way).
+  virtual bool nothing_queued() const { return false; }
+
   /// A level-`level` maximal task's last external dependence was satisfied
   /// (level 1 = atomic units). Fired for every level, innermost first.
   /// Not delivered during the initial control cascade — everything ready at
@@ -207,7 +223,6 @@ class SimCore {
 
   // --- static structure available from Scheduler::init on -----------------
   const CondensedDag& dag() const { return *dag_; }
-  const SpawnTree& tree() const { return dag_->tree(); }
   const Pmh& machine() const { return *m_; }
   /// The options this run was bound with (reset()). Policies read theirs
   /// here in init(), so one instance can serve runs with different σ, α'
@@ -241,11 +256,12 @@ class SimCore {
   /// the task's units, the way the Eq. (22) bound assumes. This is the SB
   /// accounting; greedy and serial reuse it as their cache model.
   ///
-  /// The table depends only on (dag, machine, opts.charge_misses), so it is
-  /// computed once and cached for as long as the core stays bound to that
-  /// triple — across reset()s, i.e. once per condensation×machine in a
-  /// sweep chunk instead of once per cell. The reference stays valid until
-  /// the next reset that changes the binding.
+  /// The table depends only on the dag, the machine's per-level miss
+  /// costs and opts.charge_misses, so the core computes it once per such
+  /// binding and keeps the most recently used tables (keyed by the dag's
+  /// build id, never its address) across reset()s: a sweep chunk or a
+  /// serve stream cycling through a few workloads builds each table once.
+  /// The reference stays valid until the next reset().
   const std::vector<double>& distributed_unit_durations() const;
 
   /// Charges every maximal task's footprint once into stats().misses —
@@ -279,12 +295,12 @@ class SimCore {
 
   void init_run_state();
 
-  bool is_control(VertexId v) const {
-    return dag_->decomposition(1).owner[dag_->graph().owner(v)] < 0;
-  }
-
-  /// Fires v; an exit vertex is reported to on_exit_fired iff report_exit.
-  void fire_vertex(VertexId v, bool report_exit = true);
+  /// Applies one frozen effect list: counter decrements with their
+  /// readiness hooks, and control in-degree decrements queued for the
+  /// cascade, in list order.
+  void apply(std::span<const CondensedDag::Effect> effects);
+  /// Fires control vertex c; an exit vertex is reported to on_exit_fired.
+  void fire_control(std::uint32_t c);
   void cascade_all();
   /// Runs unit `u`'s footprint through every cache above `proc` (level 1
   /// up) in the occupancy layer; called once per assignment, at unit start.
@@ -295,9 +311,11 @@ class SimCore {
   /// Other processors currently running a unit under the same level-`level`
   /// cache as `proc` — the contention sharer count for a bw > 0 model.
   std::size_t busy_sharers(std::size_t proc, std::size_t level) const;
-  /// Fires all vertices of completed unit `u`, children before parents so
-  /// the unit root's exit fires last.
+  /// Fires all vertices of completed unit `u` (its frozen effect list),
+  /// reports the unit root's exit, then runs the control cascade.
   void complete_unit(int u);
+  /// Offers work to the idle processors, in idle order, while the policy
+  /// has something queued.
   void dispatch(double now);
 
   // The event queue as an explicit vector-heap (std::push_heap/pop_heap
@@ -316,23 +334,25 @@ class SimCore {
   // Per-run counter arenas, restored from the dag's flat templates on
   // every reset (vector assigns — capacity survives).
   std::vector<int> ext_;  // flat (level, task) arena, dag_->ext_off layout
-  std::vector<char> fired_;
-  std::vector<std::uint32_t> in_deg_;
+  std::vector<std::uint32_t> ctrl_in_deg_;  // per control vertex
 
-  // Reused scratch: the control cascade, complete_unit's subtree walk and
-  // dispatch's idle filter all keep their high-water capacity.
-  std::vector<VertexId> cascade_;
-  std::vector<NodeId> walk_stack_, walk_order_;
-  std::vector<std::size_t> idle_, still_idle_;
+  // Reused scratch: the control cascade (control vertex numbers) and the
+  // idle processors keep their high-water capacity.
+  std::vector<std::uint32_t> cascade_;
+  std::vector<std::size_t> idle_;
 
   std::vector<Ev> events_;  // min-heap on time
 
-  // Cached distributed-charge duration table; valid while the core stays
-  // bound to (dur_dag_, dur_machine_, dur_charge_).
-  mutable std::vector<double> dur_;
-  mutable const CondensedDag* dur_dag_ = nullptr;
-  mutable const Pmh* dur_machine_ = nullptr;
-  mutable bool dur_charge_ = true;
+  // Distributed-charge duration tables, one per binding, most recently used
+  // first; at most kDurTables are kept.
+  struct DurTable {
+    std::size_t dag_id;
+    bool charge;
+    std::vector<double> miss_costs;  // per level; empty when !charge
+    std::vector<double> dur;
+  };
+  static constexpr std::size_t kDurTables = 16;
+  mutable std::vector<std::unique_ptr<DurTable>> dur_;
 
   std::unique_ptr<CacheOccupancy> occ_;  // when measuring and/or tracing
   const Pmh* occ_machine_ = nullptr;     // machine occ_ was shaped for

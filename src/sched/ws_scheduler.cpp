@@ -32,6 +32,7 @@ class WsScheduler final : public Scheduler {
     rng_ = Rng(opts_.seed);
     deque_.resize(core.machine().num_processors());
     for (std::deque<int>& d : deque_) d.clear();
+    queued_ = 0;
     resident_.assign(core.machine().num_processors(),
                      std::vector<int>(core.num_levels(), -2));
     ready_.clear();
@@ -40,6 +41,7 @@ class WsScheduler final : public Scheduler {
   void on_start() override {
     // Dependency-free units seed processor 0's deque.
     for (int u : core_->initially_ready_units()) deque_[0].push_back(u);
+    queued_ = deque_[0].size();
   }
 
   void on_task_ready(std::size_t level, int task) override {
@@ -48,19 +50,28 @@ class WsScheduler final : public Scheduler {
 
   void on_unit_complete(std::size_t proc, int) override {
     for (int u : ready_) deque_[proc].push_back(u);
+    queued_ += ready_.size();
     ready_.clear();
   }
 
   /// Own deque first (LIFO), then steal the oldest unit from a random
   /// victim (one round of up to 2p attempts).
   Assignment pick(std::size_t proc, double) override {
+    const std::size_t np = core_->machine().num_processors();
+    if (queued_ == 0) {
+      // Every deque is empty, so the round below would draw all 2p
+      // victims and find nothing: draw them (the steal order of later
+      // picks depends on the stream) and skip the probing.
+      for (std::size_t tries = 0; tries < 2 * np; ++tries) rng_();
+      return {};
+    }
+    --queued_;  // some deque is non-empty, so this pick takes a unit
     int u = -1;
     bool stolen = false;
     if (!deque_[proc].empty()) {
       u = deque_[proc].back();
       deque_[proc].pop_back();
     } else {
-      const std::size_t np = core_->machine().num_processors();
       for (std::size_t tries = 0; tries < 2 * np && u < 0; ++tries) {
         const std::size_t victim = rng_.below(np);
         if (victim != proc && !deque_[victim].empty()) {
@@ -81,7 +92,7 @@ class WsScheduler final : public Scheduler {
           ++core_->stats().steals;
         }
     }
-    if (u < 0) return {};
+    NDF_CHECK(u >= 0);
     const double dur = core_->unit_work(u) + touch_caches(proc, u) +
                        (stolen ? opts_.steal_cost : 0.0);
     return {u, dur};
@@ -110,6 +121,7 @@ class WsScheduler final : public Scheduler {
   std::vector<std::deque<int>> deque_;     // per processor
   std::vector<std::vector<int>> resident_; // resident_[p][l-1] = task id
   std::vector<int> ready_;                 // units readied since last pick
+  std::size_t queued_ = 0;                 // units in all deques
   Rng rng_;
 };
 

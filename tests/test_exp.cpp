@@ -9,7 +9,10 @@
 //       one reset()-reused core running one reused policy instance per
 //       name matches fresh cores and fresh policies across dags, machines,
 //       seeds and all four policies (occupancy layer included); the
-//       condensation's task tree nests every level into the one above
+//       condensation's task tree nests every level into the one above;
+//       the frozen per-unit effect lists equal a re-derived walk, and a
+//       reused core's duration tables follow the (dag, miss costs, charge)
+//       binding, even across a dag rebuilt at the same address
 //   X5  the repeat axis varies only the seed, deterministically
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
 //   X7  the grid runner: a mid-size grid at --jobs=1/2/8 produces
@@ -25,6 +28,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 
 #include "exp/report.hpp"
@@ -400,6 +405,142 @@ TEST(SimCore, ResetReusedCoreMatchesFreshAcrossPolicies) {  // X4
   }
   // reset() re-checks compatibility like the constructor does.
   EXPECT_THROW(reused->reset(*dags.front(), flat, third), CheckError);
+}
+
+TEST(CondensedDag, UnitEffectsMatchTheWalk) {  // X4
+  // The frozen effect lists against a reference re-derived here the way
+  // the event loop once did per completion: a unit's subtree by a reversed
+  // stack walk (children before parents, the root's exit last), every
+  // fired vertex's successors, and the boundary-crossing walk of each edge.
+  const Pmh machines[] = {make_pmh("flat16"), make_pmh("deep2x4"),
+                          make_pmh("deep4x4")};
+  using Effect = CondensedDag::Effect;
+  for (const char* spec :
+       {"mm:n=32", "trs:n=32", "cholesky:n=32", "lu:n=32", "lcs:n=64",
+        "gotoh:n=64", "fw1d:n=32", "fw2d:n=32",
+        "gen:family=sp,depth=6,seed=4,cross=60", "gen:family=wavefront,n=8",
+        "gen:family=chain,n=12", "gen:family=forkjoin,depth=3,fan=4",
+        "gen:family=diamond,depth=3,fan=3"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    const StrandGraph& g = w.graph();
+    for (const Pmh& m : machines) {
+      const CondensedDag dag(g, level_cache_sizes(m), 1.0 / 3.0);
+      const std::string who = std::string(spec) + " on " + m.to_string();
+
+      // Control vertices: exactly those outside every unit, in vertex
+      // order, with their in-degrees; the ready ones seed the cascade.
+      std::vector<std::int64_t> ctrl_of(g.num_vertices(), -1);
+      std::vector<std::uint32_t> deg0, ready0;
+      std::uint32_t next = 0;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (dag.decomposition(1).owner[g.owner(v)] >= 0) continue;
+        ASSERT_LT(next, dag.num_controls()) << who;
+        EXPECT_EQ(dag.control_vertex(next), v) << who;
+        ctrl_of[v] = next;
+        deg0.push_back(std::uint32_t(g.in_degree(v)));
+        if (g.in_degree(v) == 0) ready0.push_back(next);
+        ++next;
+      }
+      EXPECT_EQ(next, dag.num_controls()) << who;
+      EXPECT_EQ(dag.initial_control_in_degree(), deg0) << who;
+      EXPECT_EQ(dag.initially_ready_controls(), ready0) << who;
+
+      std::vector<Effect> ref;
+      const auto fire = [&](VertexId v) {
+        for (VertexId s : g.successors(v)) {
+          dag.for_each_external_arrow(v, s, [&](std::size_t l, int t) {
+            ref.push_back({std::uint32_t(dag.ext_off(l) + std::size_t(t)),
+                           std::uint32_t(l)});
+          });
+          if (ctrl_of[s] >= 0) ref.push_back({std::uint32_t(ctrl_of[s]), 0});
+        }
+      };
+      const auto expect_list = [&](std::span<const Effect> got,
+                                   const std::string& what) {
+        ASSERT_EQ(got.size(), ref.size()) << who << " " << what;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(got[i].index, ref[i].index) << who << " " << what << i;
+          EXPECT_EQ(got[i].level, ref[i].level) << who << " " << what << i;
+        }
+      };
+      std::vector<NodeId> stack, order;
+      for (int u = 0; u < int(dag.num_units()); ++u) {
+        stack.assign(1, dag.unit_root(u));
+        order.clear();
+        while (!stack.empty()) {
+          const NodeId n = stack.back();
+          stack.pop_back();
+          order.push_back(n);
+          for (NodeId c : w.tree().node(n).children) stack.push_back(c);
+        }
+        ref.clear();
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+          fire(g.enter(*it));
+          fire(g.exit(*it));
+        }
+        expect_list(dag.unit_effects(u), "unit " + std::to_string(u));
+      }
+      for (std::uint32_t c = 0; c < dag.num_controls(); ++c) {
+        ref.clear();
+        fire(dag.control_vertex(c));
+        expect_list(dag.control_effects(c), "control " + std::to_string(c));
+      }
+    }
+  }
+}
+
+TEST(SimCore, DurationTableFollowsBinding) {  // X4
+  // One core keeps a distributed-duration table per (dag, miss costs,
+  // charge) binding. Cycle it through two dags on two machines that share
+  // cache sizes but not miss costs, with the charge on and off, and then
+  // through a dag destroyed and rebuilt in the same storage from another
+  // workload: every run must equal a fresh core's.
+  exp::Workload mm(exp::parse_workload("mm:n=32"));
+  exp::Workload trs(exp::parse_workload("trs:n=32"));
+  const Pmh cheap = make_pmh("twotier:s=2,c=4,m1=192,m2=3072,c1=3,c2=30");
+  const Pmh dear = make_pmh("twotier:s=2,c=4,m1=192,m2=3072,c1=7,c2=11");
+  SchedOptions base;
+  const CondensedDag dag_mm(mm.graph(), level_cache_sizes(cheap), base.sigma);
+  const CondensedDag dag_trs(trs.graph(), level_cache_sizes(cheap),
+                             base.sigma);
+  EXPECT_NE(dag_mm.build_id(), dag_trs.build_id());
+
+  std::unique_ptr<SimCore> reused;
+  const auto run_both = [&](const CondensedDag& dag, const Pmh& m,
+                            bool charge, const std::string& who) {
+    SchedOptions o = base;
+    o.charge_misses = charge;
+    for (const char* name : {"sb", "greedy", "serial"}) {
+      if (reused)
+        reused->reset(dag, m, o);
+      else
+        reused = std::make_unique<SimCore>(dag, m, o);
+      const SchedStats a = reused->run(*make_scheduler(name, o));
+      SimCore fresh(dag, m, o);
+      const SchedStats b = fresh.run(*make_scheduler(name, o));
+      expect_stats_bit_identical(a, b, who + " " + name);
+      EXPECT_EQ(a.makespan, b.makespan) << who << " " << name;
+    }
+  };
+  for (int round = 0; round < 2; ++round)
+    for (bool charge : {true, false})
+      for (const Pmh* m : {&cheap, &dear})
+        for (const CondensedDag* dag : {&dag_mm, &dag_trs})
+          run_both(*dag, *m, charge,
+                   (dag == &dag_mm ? "mm" : "trs") +
+                       std::string(m == &cheap ? " cheap" : " dear") +
+                       (charge ? " charged" : " uncharged"));
+
+  // Same address, new condensation: a table keyed by the dag's address
+  // would hand the rebuilt dag the old one's durations.
+  std::optional<CondensedDag> slot;
+  slot.emplace(mm.graph(), level_cache_sizes(cheap), base.sigma);
+  const CondensedDag* first = &*slot;
+  run_both(*slot, cheap, true, "slot mm");
+  slot.reset();
+  slot.emplace(trs.graph(), level_cache_sizes(cheap), base.sigma);
+  ASSERT_EQ(&*slot, first);
+  run_both(*slot, cheap, true, "slot trs");
 }
 
 TEST(Sweep, RepeatAxisVariesSeedDeterministically) {  // X5

@@ -1,7 +1,7 @@
 // Tests of the space-bounded and work-stealing scheduler simulators:
 // completion, work conservation, Theorem 1 miss bounds, monotone speedup,
 // and the ND-vs-NP load-balance gap the schedulers are supposed to expose;
-// and a pin of the sb policy's exact output (stats and event stream).
+// and pins of every policy's exact output (stats and event stream).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -243,6 +243,98 @@ TEST(Sched, SbOutputIsPinned) {
     h.mix(std::uint64_t(rec.events().size()));
     for (const obs::Event& e : rec.events()) h.mix(e);
     EXPECT_EQ(h.h, c.hash) << c.spec;
+  }
+}
+
+TEST(Sched, PolicyOutputIsPinned) {
+  // The other policies' every stat, shaped like SbOutputIsPinned: ws under
+  // three steal seeds (one with a steal cost), greedy, edf and serial, on
+  // every kernel and gen family across machine shapes, σ and the occupancy
+  // layer on and off, plus one traced cell each. ws's steal order follows
+  // its Rng stream and every policy's unit order follows the core's hook
+  // and cascade order, so a faster core or dispatch must reproduce these
+  // hashes exactly. Taken from the core that re-walked each unit's
+  // subtree and scanned a per-edge arrow table on every completion, and
+  // asked every idle processor to pick.
+  struct Case {
+    const char* spec;
+    std::uint64_t ws, greedy, edf, serial;
+  };
+  const Case cases[] = {
+      {"mm:n=32", 0xd8c5f951689d589dull,
+       0xafa78e29dc816411ull, 0xafa78e29dc816411ull, 0x677d8a791c5b6fc3ull},
+      {"trs:n=32", 0x50255dd877b9cd34ull,
+       0x4142dfcfa8742fa9ull, 0x4142dfcfa8742fa9ull, 0xd733a4705eb7e752ull},
+      {"cholesky:n=32", 0xbfceabf904a3db71ull,
+       0xb15f0ad8385e31f4ull, 0xb15f0ad8385e31f4ull, 0xa0e70201f9ce71feull},
+      {"lu:n=32", 0x661ddc371aa203f5ull,
+       0x9502e8f9e7524a5bull, 0x9502e8f9e7524a5bull, 0xfa7e280ab14b674ull},
+      {"lcs:n=64", 0x4a51ea1f2417d23aull,
+       0x16bf033521fae9f9ull, 0x16bf033521fae9f9ull, 0x2e40a1cbfbe0ba47ull},
+      {"gotoh:n=64", 0x7608fd64387fd9cbull,
+       0xaeec3485afed3174ull, 0xaeec3485afed3174ull, 0x3cf8ebe64b5e8cb8ull},
+      {"fw1d:n=32", 0x91a3e24b23527739ull,
+       0xac4ff02232a22a2aull, 0xac4ff02232a22a2aull, 0x54bd7d9ccfcfc820ull},
+      {"fw2d:n=32", 0xd25aafc95ce651e8ull,
+       0xd622b1852802c93ull, 0xd622b1852802c93ull, 0xe4668da7dca70d16ull},
+      {"gen:family=sp,seed=1,cross=60", 0x2ce8f2accad89187ull,
+       0x41e626d2906b81c5ull, 0x41e626d2906b81c5ull, 0xc95c95f33e140c3full},
+      {"gen:family=sp,depth=6,seed=4,cross=60", 0xa4f9387cde0a3518ull,
+       0x27bb856e4bdd1a57ull, 0x27bb856e4bdd1a57ull, 0x6e4575afd8c2cb58ull},
+      {"gen:family=wavefront,n=8", 0x4526e6f69a5a9c1bull,
+       0xce7085652bb8edcaull, 0xce7085652bb8edcaull, 0x95c8f49e421a241bull},
+      {"gen:family=chain,n=12", 0x534b92fe9eb48b1dull,
+       0xbdc63d9de04cbf3eull, 0xbdc63d9de04cbf3eull, 0x101b6460a6f0bf1cull},
+      {"gen:family=forkjoin,depth=3,fan=4", 0xed2f9d9683dab6c9ull,
+       0xdafedbf7eb1cd9dfull, 0xdafedbf7eb1cd9dfull, 0x7075398b9a6926ddull},
+      {"gen:family=diamond,depth=3,fan=3", 0xb028bcdb71617962ull,
+       0x4d7b2b5755683d96ull, 0x4d7b2b5755683d96ull, 0x751dc7268ad05434ull},
+  };
+  const Pmh machines[] = {make_pmh("flat16"), make_pmh("deep2x4"),
+                          make_pmh("deep4x4")};
+  // ws runs once per seed; the last seed also pays a steal cost.
+  const auto ws_options = [](SchedOptions o, int i) {
+    o.seed = std::uint64_t(11 + i);
+    o.steal_cost = i == 2 ? 2.5 : 0.0;
+    return o;
+  };
+  for (const Case& c : cases) {
+    const exp::Workload w(exp::parse_workload(c.spec));
+    const std::pair<const char*, std::uint64_t> policies[] = {
+        {"ws", c.ws}, {"greedy", c.greedy}, {"edf", c.edf},
+        {"serial", c.serial}};
+    for (const auto& [name, hash] : policies) {
+      const std::string policy = name;
+      const int runs = policy == "ws" ? 3 : 1;
+      Fnv h;
+      for (const Pmh& m : machines)
+        for (double sigma : {1.0 / 3.0, 0.5}) {
+          const CondensedDag dag(w.graph(), level_cache_sizes(m), sigma);
+          for (bool misses : {false, true})
+            for (int i = 0; i < runs; ++i) {
+              SchedOptions o;
+              o.sigma = sigma;
+              o.measure_misses = misses;
+              if (policy == "ws") o = ws_options(o, i);
+              SimCore core(dag, m, o);
+              h.mix(core.run(*make_scheduler(policy, o)));
+            }
+        }
+      // The traced cell: the deepest machine, σ = 1/3, misses on.
+      obs::EventRecorder rec;
+      SchedOptions o;
+      o.measure_misses = true;
+      o.sink = &rec;
+      if (policy == "ws") o = ws_options(o, 2);
+      const CondensedDag dag(w.graph(), level_cache_sizes(machines[2]),
+                             o.sigma);
+      SimCore core(dag, machines[2], o);
+      h.mix(core.run(*make_scheduler(policy, o)));
+      h.mix(std::uint64_t(rec.events().size()));
+      for (const obs::Event& e : rec.events()) h.mix(e);
+      EXPECT_EQ(h.h, hash) << c.spec << " " << policy << " 0x" << std::hex
+                           << h.h;
+    }
   }
 }
 
