@@ -40,6 +40,9 @@ struct WorkloadSpec {
   /// "gen:family=sp,depth=8,fan=4,seed=7" (defaults are not printed;
   /// base only when it differs from 4).
   std::string label() const;
+
+  /// Field-wise; equal specs have equal labels.
+  bool operator==(const WorkloadSpec&) const = default;
 };
 
 struct WorkloadInfo {

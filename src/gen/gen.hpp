@@ -53,6 +53,9 @@ struct GenSpec {
   /// Canonical spec string ("gen:family=sp,depth=8,fan=4,seed=7");
   /// parse_gen_params(label()) reproduces the spec exactly.
   std::string label() const;
+
+  /// Field-wise; equal specs have equal labels.
+  bool operator==(const GenSpec&) const = default;
 };
 
 struct FamilyInfo {

@@ -125,7 +125,32 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
         effects_.push_back({ctrl_base[nw] + (g_->is_exit(w) ? 1 : 0), 0});
     }
   };
-  auto close_list = [&] {
+  // Completed tasks. Each maximal task closes the list of its root's exit:
+  // a unit's list, or the list of a glue node's exit vertex. One pass over
+  // the decompositions counts them per list. A unit root is a task root at
+  // levels 1..k, its count (it lies inside a task at every level, and once
+  // strictly inside one, inside one above too), so its tasks are its
+  // unit_task_ entries; a glue node is walked level by level, and only
+  // when it roots something.
+  NDF_CHECK_MSG(L <= UINT8_MAX, "too many cache levels");
+  std::vector<std::uint8_t> done(num_units() + ctrl_vertex_.size(), 0);
+  for (std::size_t l = 1; l <= L; ++l)
+    for (const NodeId n : dec_[l - 1].maximal)
+      ++done[unit_of[n] >= 0 ? std::size_t(unit_of[n])
+                             : num_units() + ctrl_base[n] + 1];
+  auto close_list = [&](std::size_t list, NodeId n) {
+    if (list < num_units()) {
+      for (std::size_t l = 1; l <= done[list]; ++l)
+        effects_.push_back({unit_task_[(l - 1) * num_units() + list],
+                            kDone | std::uint32_t(l)});
+    } else {
+      for (std::size_t l = 1, found = 0; found < done[list]; ++l) {
+        const int t = dec_[l - 1].owner[n];
+        if (t < 0 || dec_[l - 1].maximal[t] != n) continue;
+        effects_.push_back({std::uint32_t(t), kDone | std::uint32_t(l)});
+        ++found;
+      }
+    }
     NDF_CHECK_MSG(effects_.size() <= UINT32_MAX, "too many firing effects");
     effect_off_.push_back(std::uint32_t(effects_.size()));
   };
@@ -161,11 +186,11 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
       stack.back().work += work;
     }
     total_work_ += unit_work_[u];
-    close_list();
+    close_list(u, dec_[0].maximal[u]);
   }
-  for (VertexId v : ctrl_vertex_) {
-    add_vertex(v);
-    close_list();
+  for (std::size_t c = 0; c < ctrl_vertex_.size(); ++c) {
+    add_vertex(ctrl_vertex_[c]);
+    close_list(num_units() + c, g_->owner(ctrl_vertex_[c]));
   }
   NDF_CHECK(edges == g_->num_edges());
   effects_.shrink_to_fit();

@@ -108,19 +108,39 @@ class CondensedDag {
   // vertex's own effects are stored as one flat CSR of 8-byte entries:
   // list u is unit u's, list num_units() + c is control vertex c's.
   // Control vertices are numbered in vertex order.
+  //
+  // Firing a node's exit vertex completes every maximal task rooted at that
+  // node: a unit's root (its own level-1 task, and the tasks above it that
+  // share the root), or a glue node outside every unit. Each list ends with
+  // those tasks, in level order, as tagged entries of the same shape — so
+  // a unit's whole completion is one scan of contiguous memory, and a list
+  // whose vertex roots nothing (an enter vertex, most glue exits) ends
+  // with none.
 
-  /// One frozen effect: level > 0 decrements flat counter `index` (the
-  /// level-`level` task `index - ext_off(level)` becomes ready at zero);
-  /// level == 0 decrements the in-degree of control vertex `index`.
+  /// One frozen entry: level == 0 decrements the in-degree of control
+  /// vertex `index`; 0 < level < kDone decrements flat counter `index`
+  /// (the level-`level` task `index - ext_off(level)` becomes ready at
+  /// zero); level == kDone | l completes level-l task `index`.
   struct Effect {
     std::uint32_t index;
     std::uint32_t level;
   };
-  /// Effects of completing unit `u`, in firing order.
+  static constexpr std::uint32_t kDone = 1u << 31;
+  /// Everything completing unit `u` does: its effects in firing order,
+  /// then the tasks rooted at its root (level 1, the unit itself, first).
+  std::span<const Effect> unit_firing(int u) const {
+    return list(std::size_t(u));
+  }
+  /// Everything firing control vertex `c` does: its effects, then, for an
+  /// exit, the tasks rooted at its node.
+  std::span<const Effect> control_firing(std::uint32_t c) const {
+    return list(num_units() + c);
+  }
+  /// unit_firing(u) without its completed tasks.
   std::span<const Effect> unit_effects(int u) const {
     return effects(std::size_t(u));
   }
-  /// Effects of firing control vertex `c`.
+  /// control_firing(c) without its completed tasks.
   std::span<const Effect> control_effects(std::uint32_t c) const {
     return effects(num_units() + c);
   }
@@ -197,9 +217,14 @@ class CondensedDag {
   std::size_t build_id() const { return build_id_; }
 
  private:
-  std::span<const Effect> effects(std::size_t list) const {
-    return {effects_.data() + effect_off_[list],
-            effects_.data() + effect_off_[list + 1]};
+  std::span<const Effect> list(std::size_t i) const {
+    return {effects_.data() + effect_off_[i],
+            effects_.data() + effect_off_[i + 1]};
+  }
+  std::span<const Effect> effects(std::size_t i) const {
+    std::span<const Effect> s = list(i);
+    while (!s.empty() && s.back().level >= kDone) s = s.first(s.size() - 1);
+    return s;
   }
 
   const StrandGraph* g_;
@@ -216,7 +241,8 @@ class CondensedDag {
   std::vector<std::size_t> ext_off_;   // [l-1] = arena offset of level l
   std::vector<int> ext0_flat_;         // flat (level, task) template
 
-  // Effect lists: [units + controls + 1] offsets into effects_.
+  // Effect lists: [units + controls + 1] offsets into effects_; each list
+  // ends with its completed tasks.
   std::vector<std::uint32_t> effect_off_;
   std::vector<Effect> effects_;
   std::vector<VertexId> ctrl_vertex_;        // [c] = vertex id

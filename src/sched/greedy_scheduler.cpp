@@ -50,23 +50,27 @@ class GreedyScheduler final : public Scheduler {
     ready_.clear();
     ready_.reserve(core.num_units());
     head_ = 0;
+    // One queue every processor takes from.
+    reach_.reset(core.machine().num_processors());
   }
 
   void on_start() override {
     for (int u : core_->initially_ready_units()) ready_.push_back(u);
+    if (!ready_.empty()) reach_.add_shared(+1);
   }
 
   void on_task_ready(std::size_t level, int task) override {
-    if (level == 1) ready_.push_back(task);
+    if (level != 1) return;
+    if (head_ == ready_.size()) reach_.add_shared(+1);
+    ready_.push_back(task);
   }
 
   Assignment pick(std::size_t, double) override {
     if (head_ == ready_.size()) return {};
     const int u = ready_[head_++];
+    if (head_ == ready_.size()) reach_.add_shared(-1);
     return {u, (*unit_dur_)[u]};
   }
-
-  bool nothing_queued() const override { return head_ == ready_.size(); }
 
  private:
   const char* name_;

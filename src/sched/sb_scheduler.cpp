@@ -26,6 +26,12 @@ namespace {
 /// known to fail without being run: those tasks go straight back to the
 /// pending list, in the order the retries would have put them there.
 /// Successes, pins and trace events keep their order exactly.
+///
+/// Wasted work. An idle processor whose scan path holds no queued unit is
+/// never asked (reach_), a completed task arrives as (level, task) from
+/// the dag's frozen lists, and an anchored task tries only its children
+/// that are already ready — no counter moves inside a drain, so the others
+/// would fail there, and on_task_ready queues them when they become ready.
 class SbScheduler final : public Scheduler {
  public:
   explicit SbScheduler(const SchedOptions&) {}
@@ -49,12 +55,14 @@ class SbScheduler final : public Scheduler {
     cache_off_.resize(L_ + 1);
     cap_.resize(L_);
     fan_.resize(L_);
+    ppc_.resize(L_);
     std::size_t caches = 0;
     for (std::size_t l = 1; l <= L_; ++l) {
       cache_off_[l - 1] = caches;
       caches += m_->num_caches(l);
       cap_[l - 1] = core.options().sigma * m_->cache_size(l);
       fan_[l - 1] = m_->fanout(l);
+      ppc_[l - 1] = m_->procs_per_cache(l);
     }
     cache_off_[L_] = caches;
     cache_.assign(caches + 1, CacheState{});
@@ -66,10 +74,11 @@ class SbScheduler final : public Scheduler {
     // Run queues: one intrusive FIFO per cache plus memory's, threaded
     // through next_unit_ (every unit is queued at most once per run).
     next_unit_.resize(core.num_units());
-    queued_ = 0;
     // Per processor, the queues pick() scans: its cache at each level,
-    // innermost first, then memory's.
+    // innermost first, then memory's. A processor whose scan would find
+    // every one of them empty is not asked (reach_).
     const std::size_t P = m_->num_processors();
+    reach_.reset(P);
     proc_q_.resize(P * (L_ + 1));
     for (std::size_t p = 0; p < P; ++p) {
       for (std::size_t l = 1; l <= L_; ++l)
@@ -103,28 +112,52 @@ class SbScheduler final : public Scheduler {
     if (!task_[flat(level, t)].anchored) to_try_.push_back({level, t});
   }
 
-  void on_exit_fired(NodeId n) override { release_if_task_done(n); }
+  /// Releases the capacity and leases of a completed anchored task.
+  void on_task_done(std::size_t l, int ti) override {
+    const std::size_t f = flat(l, ti);
+    if (!task_[f].anchored || dag_->task_oversized(l, ti)) return;
+    const std::size_t c = std::size_t(task_[f].anchor_cache);
+    CacheState& cs = cache_[cache_off_[l - 1] + c];
+    cs.used -= dag_->task_size(l, ti);
+    core_->unpin_footprint(l, c, ti);
+    if (l > 1) {
+      const std::size_t fan = fan_[l - 1];
+      for (std::size_t k = c * fan; k < (c + 1) * fan; ++k) {
+        int& holder = cache_[cache_off_[l - 2] + k].leased_to;
+        if (holder == ti) {
+          holder = -1;
+          ++cs.free_kids;
+        }
+      }
+    }
+    if (l == L_) top_min_dirty_ = true;
+    freed_[l - 1].push_back(std::uint32_t(c));
+    retry_pending(l);
+    // The level below is re-tried too. Its blocked tasks only move within
+    // their list — the freed leases serve no live parent — but that order
+    // decides later ties.
+    if (l > 1) retry_pending(l - 1);
+  }
 
   void on_unit_complete(std::size_t, int) override {
     drain_anchor_worklist();
   }
 
   Assignment pick(std::size_t proc, double) override {
-    if (queued_ == 0) return {};
     const int* q = &proc_q_[proc * (L_ + 1)];
     for (std::size_t i = 0; i <= L_; ++i) {
       CacheState& c = cache_[q[i]];
       const int u = c.q_head;
       if (u < 0) continue;
       c.q_head = next_unit_[u];
-      if (c.q_head < 0) c.q_tail = -1;
-      --queued_;
+      if (c.q_head < 0) {
+        c.q_tail = -1;
+        reach_queue(i + 1, std::size_t(q[i]), -1);
+      }
       return {u, (*unit_dur_)[u]};
     }
     return {};
   }
-
-  bool nothing_queued() const override { return queued_ == 0; }
 
  private:
   /// One anchoring attempt on the work-list: level-`level` task `task`, or
@@ -204,42 +237,6 @@ class SbScheduler final : public Scheduler {
 
   std::size_t flat(std::size_t level, int t) const {
     return dag_->ext_off(level) + std::size_t(t);
-  }
-
-  /// Releases capacity/leases of every anchored task rooted at node n (it
-  /// can be maximal at several consecutive levels).
-  void release_if_task_done(NodeId n) {
-    for (std::size_t l = 1; l <= L_; ++l) {
-      const Decomposition& d = dag_->decomposition(l);
-      const int ti = d.owner[n];
-      if (ti < 0) continue;  // glue at this level, maybe a task above
-      // Strictly inside a level-l task means strictly inside the task
-      // containing it at every level above too.
-      if (d.maximal[ti] != n) return;
-      const std::size_t f = flat(l, ti);
-      if (!task_[f].anchored || dag_->task_oversized(l, ti)) continue;
-      const std::size_t c = std::size_t(task_[f].anchor_cache);
-      CacheState& cs = cache_[cache_off_[l - 1] + c];
-      cs.used -= dag_->task_size(l, ti);
-      core_->unpin_footprint(l, c, ti);
-      if (l > 1) {
-        const std::size_t fan = fan_[l - 1];
-        for (std::size_t k = c * fan; k < (c + 1) * fan; ++k) {
-          int& holder = cache_[cache_off_[l - 2] + k].leased_to;
-          if (holder == ti) {
-            holder = -1;
-            ++cs.free_kids;
-          }
-        }
-      }
-      if (l == L_) top_min_dirty_ = true;
-      freed_[l - 1].push_back(std::uint32_t(c));
-      retry_pending(l);
-      // The level below is re-tried too. Its blocked tasks only move within
-      // their list — the freed leases serve no live parent — but that order
-      // decides later ties.
-      if (l > 1) retry_pending(l - 1);
-    }
   }
 
   /// Queues every capacity-blocked task of level l for another attempt,
@@ -333,9 +330,22 @@ class SbScheduler final : public Scheduler {
         {ti, l < L_ ? dag_->task_parent(l, ti) : -1, S});
   }
 
+  /// Run queue `q` of level `l` (L_ + 1 for memory's) turned non-empty
+  /// (+1) or empty (-1): the processors below it gain or lose one
+  /// reachable queue.
+  void reach_queue(std::size_t l, std::size_t q, int delta) {
+    if (l > L_) {
+      reach_.add_shared(delta);
+      return;
+    }
+    const std::size_t first = (q - cache_off_[l - 1]) * ppc_[l - 1];
+    reach_.add(first, first + ppc_[l - 1], delta);
+  }
+
   void enqueue_unit(int u) {
+    std::size_t l = 1;
     std::size_t q = cache_off_[L_];  // memory's queue
-    for (std::size_t l = 1; l <= L_; ++l) {
+    for (; l <= L_; ++l) {
       const int t = dag_->unit_task(l, u);
       if (!dag_->task_oversized(l, t)) {
         const int c = task_[flat(l, t)].anchor_cache;
@@ -346,12 +356,13 @@ class SbScheduler final : public Scheduler {
     }
     next_unit_[u] = -1;
     CacheState& cs = cache_[q];
-    if (cs.q_tail < 0)
+    if (cs.q_tail < 0) {
       cs.q_head = u;
-    else
+      reach_queue(l, q, +1);
+    } else {
       next_unit_[cs.q_tail] = u;
+    }
     cs.q_tail = u;
-    ++queued_;
   }
 
   void try_anchor(std::size_t l, int ti) {
@@ -396,7 +407,10 @@ class SbScheduler final : public Scheduler {
     if (l == 1) {
       enqueue_unit(ti);
     } else {
-      for (int c : dag_->task_children(l, ti)) to_try_.push_back({l - 1, c});
+      // A child still waiting on an external arrow is tried when the last
+      // one is satisfied (on_task_ready); no drain can satisfy it.
+      for (int c : dag_->task_children(l, ti))
+        if (core_->task_ext(l - 1, c) == 0) to_try_.push_back({l - 1, c});
     }
   }
 
@@ -475,6 +489,7 @@ class SbScheduler final : public Scheduler {
   std::vector<std::size_t> cache_off_;  // [l-1]; [L] = number of caches
   std::vector<double> cap_;             // [l-1] = σM_l
   std::vector<std::size_t> fan_;        // [l-1] = level l's fan-out
+  std::vector<std::size_t> ppc_;        // [l-1] = processors per cache
   std::vector<CacheState> cache_;
   double top_min_ = 0.0;
   bool top_min_dirty_ = true;
@@ -482,7 +497,6 @@ class SbScheduler final : public Scheduler {
   // Run queues: each processor's scan order over the caches' queues.
   std::vector<int> next_unit_;
   std::vector<int> proc_q_;  // [p * (L+1) + i]
-  std::size_t queued_ = 0;
 
   // Anchoring work-list and capacity-blocked tasks.
   std::vector<Try> to_try_;
@@ -504,11 +518,6 @@ void register_sb_scheduler() {
       });
 }
 }  // namespace detail
-
-SchedStats run_sb_scheduler(const StrandGraph& g, const Pmh& machine,
-                            const SchedOptions& opts) {
-  return run_scheduler("sb", g, machine, opts);
-}
 
 double sb_balanced_bound(const SpawnTree& tree, const Pmh& machine,
                          double sigma) {

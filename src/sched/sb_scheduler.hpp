@@ -30,12 +30,6 @@
 
 namespace ndf {
 
-/// Runs the space-bounded scheduler on the elaborated graph `g` (ND or NP
-/// elaboration) over `machine`. The spawn tree must carry size annotations.
-/// Equivalent to run_scheduler("sb", g, machine, opts).
-SchedStats run_sb_scheduler(const StrandGraph& g, const Pmh& machine,
-                            const SchedOptions& opts = {});
-
 /// The perfectly-load-balanced reference of Eq. (22) plus work:
 /// (T1 + Σi Q*(t;σMi)·Ci) / p.
 double sb_balanced_bound(const SpawnTree& tree, const Pmh& machine,

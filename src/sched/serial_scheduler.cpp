@@ -32,24 +32,28 @@ class SerialScheduler final : public Scheduler {
     unit_dur_ = &core.distributed_unit_durations();
     core.charge_condensed_footprints();
     ready_ = {};
+    // Only processor 0 ever takes a unit.
+    reach_.reset(core.machine().num_processors());
   }
 
   void on_start() override {
     for (int u : core_->initially_ready_units()) ready_.push(u);
+    if (!ready_.empty()) reach_.add(0, 1, +1);
   }
 
   void on_task_ready(std::size_t level, int task) override {
-    if (level == 1) ready_.push(task);
+    if (level != 1) return;
+    if (ready_.empty()) reach_.add(0, 1, +1);
+    ready_.push(task);
   }
 
   Assignment pick(std::size_t proc, double) override {
     if (proc != 0 || ready_.empty()) return {};
     const int u = ready_.top();
     ready_.pop();
+    if (ready_.empty()) reach_.add(0, 1, -1);
     return {u, (*unit_dur_)[u]};
   }
-
-  bool nothing_queued() const override { return ready_.empty(); }
 
  private:
   SimCore* core_ = nullptr;

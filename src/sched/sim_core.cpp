@@ -179,6 +179,10 @@ void SimCore::apply(std::span<const CondensedDag::Effect> effects) {
       if (--ctrl_in_deg_[e.index] == 0) cascade_.push_back(e.index);
       continue;
     }
+    if (e.level >= CondensedDag::kDone) {
+      policy_->on_task_done(e.level & ~CondensedDag::kDone, int(e.index));
+      continue;
+    }
     if (--ext_[e.index] == 0) {
       // Tracing: a unit's queue wait starts when its last external
       // dependence is satisfied (units ready at t=0 keep the default 0).
@@ -192,9 +196,7 @@ void SimCore::apply(std::span<const CondensedDag::Effect> effects) {
 }
 
 void SimCore::fire_control(std::uint32_t c) {
-  apply(dag_->control_effects(c));
-  const VertexId v = dag_->control_vertex(c);
-  if (StrandGraph::is_exit(v)) policy_->on_exit_fired(StrandGraph::owner(v));
+  apply(dag_->control_firing(c));
 }
 
 void SimCore::cascade_all() {
@@ -206,22 +208,22 @@ void SimCore::cascade_all() {
 }
 
 void SimCore::complete_unit(int u) {
-  // Only the root's exit is reported: no maximal task is rooted strictly
+  // Only the root's tasks complete here: no maximal task is rooted strictly
   // inside a unit, and the root's exit is the unit's last vertex to fire.
-  apply(dag_->unit_effects(u));
-  policy_->on_exit_fired(dag_->unit_root(u));
+  apply(dag_->unit_firing(u));
   cascade_all();
 }
 
 void SimCore::dispatch(double now) {
   now_ = now;
   // Picks run in idle order and the processors left idle keep it, so the
-  // idle list is compacted in place; once the policy has nothing queued,
-  // the unasked rest stays idle as it is.
+  // idle list is compacted in place; a processor the policy cannot reach
+  // stays idle unasked, and so does the rest once none is reachable.
   std::size_t i = 0, kept = 0;
-  for (; i < idle_.size() && !policy_->nothing_queued(); ++i) {
+  for (; i < idle_.size() && policy_->any_reachable(); ++i) {
     const std::size_t p = idle_[i];
-    const Assignment a = policy_->pick(p, now);
+    const Assignment a =
+        policy_->reachable(p) ? policy_->pick(p, now) : Assignment{};
     if (a.unit < 0) {
       idle_[kept++] = p;
       continue;

@@ -24,8 +24,8 @@
 // lives in flat arenas, the event queue is a plain vector-heap, and the
 // core keeps one distributed duration table per (dag, miss costs, charge)
 // binding it has seen, so a serve stream alternating workloads reuses
-// them). After each completion the core offers work to its idle
-// processors only while the policy reports something queued.
+// them). After each completion the core offers work only to the idle
+// processors the policy reports it can reach (Reach below).
 //
 // The split keeps policies small: SB is anchoring/boundedness/allocation,
 // WS is victim selection plus the footprint-reload cache model, greedy and
@@ -140,6 +140,42 @@ struct Assignment {
   double duration = 0.0;
 };
 
+/// Which processors a policy's pick() can give a unit to, kept by the
+/// policy as counts the core reads without a virtual call. A run queue
+/// that processors [first, last) scan counts once for each of them while
+/// it holds a unit, a queue every processor scans counts once in a shared
+/// total, and a processor with both counts at zero is not asked to pick.
+/// Counts change only when a queue turns empty or non-empty. A default-
+/// constructed Reach is never reset and stays "every processor, always".
+class Reach {
+ public:
+  /// Tracks `procs` processors, with nothing queued anywhere.
+  void reset(std::size_t procs) {
+    queues_ = shared_ = 0;
+    proc_.assign(procs, 0);
+  }
+  /// A queue scanned by processors [first, last) turned non-empty
+  /// (delta = +1) or empty (delta = -1).
+  void add(std::size_t first, std::size_t last, int delta) {
+    queues_ += delta;
+    for (std::size_t p = first; p < last; ++p) proc_[p] += delta;
+  }
+  /// A queue scanned by every processor turned non-empty or empty.
+  void add_shared(int delta) {
+    queues_ += delta;
+    shared_ += delta;
+  }
+  /// Some queue holds a unit.
+  bool any() const { return queues_ != 0; }
+  bool reachable(std::size_t proc) const {
+    return shared_ != 0 || proc_[proc] != 0;
+  }
+
+ private:
+  int queues_ = 1, shared_ = 1;  // non-empty queues: all, shared ones
+  std::vector<int> proc_;
+};
+
 /// Scheduler policy interface. The core drives the event loop and firing;
 /// the policy reacts to readiness/completion hooks and assigns units to
 /// idle processors. Hooks are invoked in deterministic simulation order.
@@ -163,18 +199,19 @@ class Scheduler {
   virtual void on_start() = 0;
 
   /// Assign a unit to idle processor `proc` at time `now`, or return a
-  /// negative unit to leave it idle.
+  /// negative unit to leave it idle. Only called when reachable(proc).
   virtual Assignment pick(std::size_t proc, double now) = 0;
 
-  /// True when the policy has nothing queued: pick() would return no unit
-  /// on every processor and change no state. The core then stops asking
-  /// the remaining idle processors until the next completion, so a policy
-  /// returning true must make skipping its picks unobservable. Checked
-  /// before every pick() of a dispatch round; nothing becomes ready inside
-  /// one. The default, false, means every idle processor is always asked —
-  /// for a policy whose empty pick has effects (ws draws its steal victims
-  /// from a seeded stream either way).
-  virtual bool nothing_queued() const { return false; }
+  /// False when pick(proc) would return no unit and change no state: the
+  /// core then leaves `proc` idle without asking. Read before every pick()
+  /// of a dispatch round, so it must follow the picks made earlier in the
+  /// round; nothing becomes ready inside one. A policy that never resets
+  /// reach_ has every idle processor asked every time — as it must be when
+  /// an empty pick has effects (ws draws its steal victims from a seeded
+  /// stream either way).
+  bool reachable(std::size_t proc) const { return reach_.reachable(proc); }
+  /// False when no processor is reachable: the core ends the round.
+  bool any_reachable() const { return reach_.any(); }
 
   /// A level-`level` maximal task's last external dependence was satisfied
   /// (level 1 = atomic units). Fired for every level, innermost first.
@@ -186,17 +223,26 @@ class Scheduler {
     (void)task;
   }
 
-  /// The exit vertex of spawn-tree node `n` fired (tasks rooted at `n` are
-  /// complete; the SB policy releases capacity here). Reported for unit
-  /// roots and the glue nodes above them — the only nodes a maximal task
-  /// can be rooted at — not for nodes strictly inside a unit.
-  virtual void on_exit_fired(NodeId n) { (void)n; }
+  /// Level-`level` maximal task `task` completed: the exit vertex of the
+  /// node it is rooted at fired (the SB policy releases capacity here).
+  /// The tasks one exit completes are reported in level order, right after
+  /// that vertex's own effects; an exit that roots no task reports nothing.
+  /// Frozen per unit and per control vertex in the CondensedDag.
+  virtual void on_task_done(std::size_t level, int task) {
+    (void)level;
+    (void)task;
+  }
 
   /// Atomic unit `unit` finished on `proc` (vertices already fired).
   virtual void on_unit_complete(std::size_t proc, int unit) {
     (void)proc;
     (void)unit;
   }
+
+ protected:
+  /// The counts behind reachable(); a policy that tracks them resets them
+  /// in init().
+  Reach reach_;
 };
 
 /// The shared simulator. Construct once, reset() per further run, and
@@ -295,11 +341,11 @@ class SimCore {
 
   void init_run_state();
 
-  /// Applies one frozen effect list: counter decrements with their
-  /// readiness hooks, and control in-degree decrements queued for the
-  /// cascade, in list order.
+  /// Applies one frozen list: counter decrements with their readiness
+  /// hooks, control in-degree decrements queued for the cascade, and the
+  /// completed tasks reported to on_task_done, in list order.
   void apply(std::span<const CondensedDag::Effect> effects);
-  /// Fires control vertex c; an exit vertex is reported to on_exit_fired.
+  /// Fires control vertex c: its effects, then the tasks it completes.
   void fire_control(std::uint32_t c);
   void cascade_all();
   /// Runs unit `u`'s footprint through every cache above `proc` (level 1
@@ -312,10 +358,10 @@ class SimCore {
   /// cache as `proc` — the contention sharer count for a bw > 0 model.
   std::size_t busy_sharers(std::size_t proc, std::size_t level) const;
   /// Fires all vertices of completed unit `u` (its frozen effect list),
-  /// reports the unit root's exit, then runs the control cascade.
+  /// reports the tasks rooted at its root, then runs the control cascade.
   void complete_unit(int u);
-  /// Offers work to the idle processors, in idle order, while the policy
-  /// has something queued.
+  /// Offers work to the idle processors the policy can reach, in idle
+  /// order.
   void dispatch(double now);
 
   // The event queue as an explicit vector-heap (std::push_heap/pop_heap

@@ -1,5 +1,20 @@
-#include "sched/ws_scheduler.hpp"
-
+// Randomized work-stealing scheduler baseline (Blumofe-Leiserson style) on
+// the PMH simulator, for the SB-vs-WS locality comparison the paper invokes
+// from [47, 48]; a policy on the shared core (sched/sim_core.hpp),
+// registered as "ws".
+//
+// Scheduling granularity is the same σM1-maximal atomic unit used by the SB
+// simulator, so makespans and miss counts are directly comparable. Each
+// processor owns a LIFO deque of ready units; idle processors steal the
+// oldest unit from a uniformly random victim.
+//
+// Cache model ("task-footprint model", DESIGN.md): each processor tracks,
+// per cache level l, which level-l maximal task's footprint is resident in
+// the level-l cache above it; executing a unit from a different level-l
+// task reloads that task's footprint (s(t) misses at level l, latency
+// s(t)·Cl added to the unit). Work stealing scatters units of the same
+// task across the machine, which is exactly the locality loss the SB
+// scheduler's anchoring avoids.
 #include <deque>
 #include <memory>
 
@@ -137,10 +152,5 @@ void register_ws_scheduler() {
       });
 }
 }  // namespace detail
-
-SchedStats run_ws_scheduler(const StrandGraph& g, const Pmh& machine,
-                            const SchedOptions& opts) {
-  return run_scheduler("ws", g, machine, opts);
-}
 
 }  // namespace ndf

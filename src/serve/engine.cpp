@@ -34,8 +34,15 @@ struct StreamPlan {
   std::vector<std::size_t> job_tenant;
   std::size_t num_tenants = 0;
 
+  /// The workload index of `w`. A stream repeats a few specs, so `w` is
+  /// first matched field by field against the specs already interned
+  /// (equal fields print equal labels); only a spec not seen before has
+  /// its label formatted, and a new label makes a new workload. Every
+  /// distinct spec is also built and condensed, which dwarfs the scan.
   std::size_t intern(const exp::WorkloadSpec& w,
                      std::map<std::string, std::size_t>& by_label) {
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      if (specs[i] == w) return i;
     const auto [it, fresh] = by_label.emplace(w.label(), specs.size());
     if (fresh) specs.push_back(w);
     return it->second;
@@ -61,26 +68,13 @@ StreamPlan plan_stream(const ServeScenario& s) {
   return plan;
 }
 
-/// One job admitted to the machine: the spec plus its resolved workload
-/// and tenant ids and the effective (absolute) deadline.
-struct Admission {
-  JobSpec job;
-  std::size_t widx = 0;
-  std::size_t tenant_id = 0;
-};
-
-/// EDF-over-jobs admission key: earliest absolute deadline first (+inf —
-/// no deadline — sorts last), ties by arrival then submission index. The
-/// FIFO key is the same tuple without the deadline.
-bool edf_before(const Admission& a, const Admission& b) {
-  if (a.job.deadline != b.job.deadline) return a.job.deadline < b.job.deadline;
-  if (a.job.arrival != b.job.arrival) return a.job.arrival < b.job.arrival;
-  return a.job.index < b.job.index;
-}
-
-bool fifo_before(const Admission& a, const Admission& b) {
-  if (a.job.arrival != b.job.arrival) return a.job.arrival < b.job.arrival;
-  return a.job.index < b.job.index;
+/// Admission order: under EDF-over-jobs the earliest absolute deadline
+/// first (+inf — no deadline — sorts last), then arrival, then submission
+/// index; FIFO is the same tuple without the deadline.
+bool admits_before(bool edf, const JobSpec& a, const JobSpec& b) {
+  if (edf && a.deadline != b.deadline) return a.deadline < b.deadline;
+  if (a.arrival != b.arrival) return a.arrival < b.arrival;
+  return a.index < b.index;
 }
 
 /// Runs one cell's full service simulation. Everything it reads is shared
@@ -114,9 +108,10 @@ class CellRunner {
   }
 
  private:
-  /// Admits and runs `a` on the machine free at `now`; returns the
-  /// completion time.
-  double execute(double now, const Admission& a, ServeCell& cell) {
+  /// Admits and runs `job` (workload `widx`, tenant `tenant_id`) on the
+  /// machine free at `now`; returns the completion time.
+  double execute(double now, const JobSpec& job, std::size_t widx,
+                 std::size_t tenant_id, ServeCell& cell) {
     SchedOptions opts;
     opts.sigma = sigma_;
     opts.alpha_prime = s_.alpha_prime;
@@ -128,24 +123,24 @@ class CellRunner {
     // jobs can hit warm lines (engine.hpp, "Measured occupancy").
     opts.keep_occupancy = s_.measure_misses;
     opts.occ_task_base =
-        std::int64_t(a.tenant_id * plan_.specs.size() + a.widx) << 32;
-    opts.seed = s_.base_seed + a.job.index;
+        std::int64_t(tenant_id * plan_.specs.size() + widx) << 32;
+    opts.seed = s_.base_seed + job.index;
 
     // Tracing: the job's lifecycle in global service time, and its
     // simulation events shifted from the job-local clock (which restarts
     // at 0) onto the same axis — offset by the admission time.
     obs::OffsetSink offset(sink_, now);
     if (sink_ != nullptr) {
-      const std::int64_t jid = std::int64_t(a.job.index);
-      sink_->on_job(obs::JobEvent::kArrival, a.job.arrival, jid,
-                    std::uint32_t(a.tenant_id), a.job.tenant.c_str());
-      const std::string wlabel = a.job.workload.label();
+      const std::int64_t jid = std::int64_t(job.index);
+      sink_->on_job(obs::JobEvent::kArrival, job.arrival, jid,
+                    std::uint32_t(tenant_id), job.tenant.c_str());
+      const std::string wlabel = job.workload.label();
       sink_->on_job(obs::JobEvent::kAdmit, now, jid,
-                    std::uint32_t(a.tenant_id), wlabel.c_str());
+                    std::uint32_t(tenant_id), wlabel.c_str());
       opts.sink = &offset;
     }
 
-    const CondensedDag& dag = *dags_[a.widx];
+    const CondensedDag& dag = *dags_[widx];
     if (!sched_) sched_ = make_scheduler(policy_, opts);
     if (core_)
       core_->reset(dag, m_, opts);
@@ -154,14 +149,13 @@ class CellRunner {
     const SchedStats stats = core_->run(*sched_);
 
     JobRecord rec;
-    rec.job = a.job;
+    rec.job = job;
     rec.start = now;
     rec.service = stats.makespan;
     rec.completion = now + stats.makespan;
-    rec.latency = rec.completion - a.job.arrival;
+    rec.latency = rec.completion - job.arrival;
     rec.utilization = stats.utilization;
-    rec.deadline_met =
-        !a.job.has_deadline() || rec.completion <= a.job.deadline;
+    rec.deadline_met = !job.has_deadline() || rec.completion <= job.deadline;
     if (!stats.measured_misses.empty()) {
       // The persistent occupancy reports cumulative counters; this job's
       // Q_i is the delta since the previous admission.
@@ -175,12 +169,12 @@ class CellRunner {
       cum_comm_ = stats.comm_cost;
     }
     if (sink_ != nullptr) {
-      const std::int64_t jid = std::int64_t(a.job.index);
+      const std::int64_t jid = std::int64_t(job.index);
       sink_->on_job(obs::JobEvent::kComplete, rec.completion, jid,
-                    std::uint32_t(a.tenant_id), "");
+                    std::uint32_t(tenant_id), "");
       if (!rec.deadline_met)
         sink_->on_job(obs::JobEvent::kDeadlineMiss, rec.completion, jid,
-                      std::uint32_t(a.tenant_id), "");
+                      std::uint32_t(tenant_id), "");
     }
     const double completion = rec.completion;
     cell.jobs.push_back(std::move(rec));
@@ -188,28 +182,34 @@ class CellRunner {
   }
 
   void run_open(ServeCell& cell) {
-    cell.jobs.reserve(s_.jobs.size());
-    // Jobs arrive in (arrival, index) order; `queue` holds the arrived,
-    // not-yet-admitted ones in admission order. Non-preemptive: the
-    // machine runs one job to completion, then admits the next.
-    std::vector<Admission> queue;
+    const std::vector<JobSpec>& jobs = s_.jobs;
+    cell.jobs.reserve(jobs.size());
+    // Jobs arrive in stream order; `queue` holds the stream positions of
+    // the arrived, not-yet-admitted ones as a heap on the admission order.
+    // Its last tie-break, the stream position, admits equal keys in
+    // arrival order. Non-preemptive: the machine runs one job to
+    // completion, then admits the next.
+    const auto after = [&](std::size_t i, std::size_t j) {
+      if (admits_before(edf_, jobs[j], jobs[i])) return true;
+      return !admits_before(edf_, jobs[i], jobs[j]) && j < i;
+    };
+    std::vector<std::size_t> queue;
     std::size_t next = 0;
     double now = 0.0;
-    const auto before = edf_ ? edf_before : fifo_before;
-    while (next < s_.jobs.size() || !queue.empty()) {
-      while (next < s_.jobs.size() && s_.jobs[next].arrival <= now) {
-        queue.push_back(
-            {s_.jobs[next], plan_.job_widx[next], plan_.job_tenant[next]});
-        ++next;
+    while (next < jobs.size() || !queue.empty()) {
+      for (; next < jobs.size() && jobs[next].arrival <= now; ++next) {
+        queue.push_back(next);
+        std::push_heap(queue.begin(), queue.end(), after);
       }
       if (queue.empty()) {  // idle until the next arrival
-        now = s_.jobs[next].arrival;
+        now = jobs[next].arrival;
         continue;
       }
-      const auto it = std::min_element(queue.begin(), queue.end(), before);
-      const Admission a = *it;
-      queue.erase(it);
-      now = execute(now, a, cell);
+      std::pop_heap(queue.begin(), queue.end(), after);
+      const std::size_t i = queue.back();
+      queue.pop_back();
+      now = execute(now, jobs[i], plan_.job_widx[i], plan_.job_tenant[i],
+                    cell);
     }
   }
 
@@ -223,7 +223,6 @@ class CellRunner {
     std::vector<double> ready(clients, 0.0);
     std::vector<std::size_t> done(clients, 0);
     double now = 0.0;
-    const auto before = edf_ ? edf_before : fifo_before;
     for (std::size_t served = 0; served < clients * spec.jobs; ++served) {
       bool any = false;
       double soonest = 0.0;
@@ -233,28 +232,27 @@ class CellRunner {
         any = true;
       }
       if (soonest > now) now = soonest;  // idle until a client is ready
-      // Admission scans the waiting clients; with <= a few thousand
+      // Admission scans the waiting clients' keys; with <= a few thousand
       // clients the O(clients) pass per job is noise next to the DAG
-      // simulation it admits.
-      bool have = false;
-      Admission best;
-      for (std::size_t c = 0; c < clients; ++c) {
-        if (done[c] == spec.jobs || ready[c] > now) continue;
-        Admission a;
-        a.job.index = done[c] * clients + c;
-        a.job.tenant = "t" + std::to_string(c);
-        a.job.arrival = ready[c];
-        if (spec.deadline > 0.0) a.job.deadline = ready[c] + spec.deadline;
-        a.widx = plan_.mix_widx[a.job.index % plan_.mix_widx.size()];
-        a.job.workload = plan_.specs[a.widx];
-        a.tenant_id = c;
-        if (!have || before(a, best)) {
-          best = std::move(a);
-          have = true;
+      // simulation it admits. Only the admitted job gets its tenant and
+      // workload filled in.
+      std::size_t c = clients;
+      JobSpec best, next;
+      for (std::size_t k = 0; k < clients; ++k) {
+        if (done[k] == spec.jobs || ready[k] > now) continue;
+        next.index = done[k] * clients + k;
+        next.arrival = ready[k];
+        if (spec.deadline > 0.0) next.deadline = ready[k] + spec.deadline;
+        if (c == clients || admits_before(edf_, next, best)) {
+          best = next;
+          c = k;
         }
       }
-      const std::size_t c = best.tenant_id;
-      now = execute(now, best, cell);
+      const std::size_t widx =
+          plan_.mix_widx[best.index % plan_.mix_widx.size()];
+      best.tenant = "t" + std::to_string(c);
+      best.workload = plan_.specs[widx];
+      now = execute(now, best, widx, c, cell);
       ready[c] = now + spec.think;
       ++done[c];
     }

@@ -10,9 +10,10 @@
 //       name matches fresh cores and fresh policies across dags, machines,
 //       seeds and all four policies (occupancy layer included); the
 //       condensation's task tree nests every level into the one above;
-//       the frozen per-unit effect lists equal a re-derived walk, and a
-//       reused core's duration tables follow the (dag, miss costs, charge)
-//       binding, even across a dag rebuilt at the same address
+//       the frozen per-unit effect and completed-task lists equal
+//       re-derived walks, and a reused core's duration tables follow the
+//       (dag, miss costs, charge) binding, even across a dag rebuilt at the
+//       same address
 //   X5  the repeat axis varies only the seed, deterministically
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
 //   X7  the grid runner: a mid-size grid at --jobs=1/2/8 produces
@@ -485,6 +486,73 @@ TEST(CondensedDag, UnitEffectsMatchTheWalk) {  // X4
         fire(dag.control_vertex(c));
         expect_list(dag.control_effects(c), "control " + std::to_string(c));
       }
+    }
+  }
+}
+
+TEST(CondensedDag, TaskDoneListsMatchTheWalk) {  // X4
+  // The frozen completed-task lists against the walk the sb policy once ran
+  // on every fired exit: level by level, skip the levels where the node is
+  // glue, report each task rooted at it, and stop at the first level where
+  // it lies strictly inside a task. Enter vertices complete nothing, and
+  // every maximal task completes exactly once per run.
+  const Pmh machines[] = {make_pmh("flat16"), make_pmh("deep2x4"),
+                          make_pmh("deep4x4")};
+  using Effect = CondensedDag::Effect;
+  for (const char* spec :
+       {"mm:n=32", "trs:n=32", "cholesky:n=32", "lu:n=32", "lcs:n=64",
+        "gotoh:n=64", "fw1d:n=32", "fw2d:n=32",
+        "gen:family=sp,depth=6,seed=4,cross=60", "gen:family=wavefront,n=8",
+        "gen:family=chain,n=12", "gen:family=forkjoin,depth=3,fan=4",
+        "gen:family=diamond,depth=3,fan=3"}) {
+    const exp::Workload w(exp::parse_workload(spec));
+    const StrandGraph& g = w.graph();
+    for (const Pmh& m : machines) {
+      const CondensedDag dag(g, level_cache_sizes(m), 1.0 / 3.0);
+      const std::string who = std::string(spec) + " on " + m.to_string();
+      std::vector<int> completions(dag.ext_arena_size(), 0);
+      std::vector<Effect> ref;
+      const auto walk = [&](NodeId n) {
+        ref.clear();
+        for (std::size_t l = 1; l <= dag.num_levels(); ++l) {
+          const Decomposition& d = dag.decomposition(l);
+          const int t = d.owner[n];
+          if (t < 0) continue;
+          if (d.maximal[t] != n) break;
+          ref.push_back(
+              {std::uint32_t(t), CondensedDag::kDone | std::uint32_t(l)});
+        }
+      };
+      // A firing list is its effects, then its completed tasks.
+      const auto expect_list = [&](std::span<const Effect> firing,
+                                   std::span<const Effect> effects,
+                                   const std::string& what) {
+        ASSERT_EQ(firing.data(), effects.data()) << who << " " << what;
+        const std::span<const Effect> got = firing.subspan(effects.size());
+        ASSERT_EQ(got.size(), ref.size()) << who << " " << what;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(got[i].index, ref[i].index) << who << " " << what << i;
+          EXPECT_EQ(got[i].level, ref[i].level) << who << " " << what << i;
+          const std::size_t l = got[i].level & ~CondensedDag::kDone;
+          ++completions[dag.ext_off(l) + got[i].index];
+        }
+      };
+      for (int u = 0; u < int(dag.num_units()); ++u) {
+        walk(dag.unit_root(u));
+        ASSERT_FALSE(ref.empty()) << who << " unit " << u;
+        EXPECT_EQ(ref.front().index, std::uint32_t(u)) << who;
+        expect_list(dag.unit_firing(u), dag.unit_effects(u),
+                    "unit " + std::to_string(u));
+      }
+      for (std::uint32_t c = 0; c < dag.num_controls(); ++c) {
+        const VertexId v = dag.control_vertex(c);
+        ref.clear();
+        if (StrandGraph::is_exit(v)) walk(StrandGraph::owner(v));
+        expect_list(dag.control_firing(c), dag.control_effects(c),
+                    "control " + std::to_string(c));
+      }
+      EXPECT_EQ(completions, std::vector<int>(dag.ext_arena_size(), 1))
+          << who;
     }
   }
 }

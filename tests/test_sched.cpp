@@ -15,8 +15,6 @@
 #include "obs/recorder.hpp"
 #include "pmh/presets.hpp"
 #include "sched/registry.hpp"
-#include "sched/sb_scheduler.hpp"
-#include "sched/ws_scheduler.hpp"
 
 namespace ndf {
 namespace {
@@ -26,7 +24,7 @@ TEST(SbScheduler, SerialMachineMatchesTotalDuration) {
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(1, 3.0 * 8 * 8 * 3, 10));
   SchedOptions opts;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   // One processor: makespan = work + all distributed miss latency.
   EXPECT_NEAR(s.makespan, s.total_work + s.miss_cost, 1e-6);
   EXPECT_DOUBLE_EQ(s.total_work, g.work());
@@ -38,7 +36,7 @@ TEST(SbScheduler, MissesMatchTheorem1Bound) {
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 512, 10));
   SchedOptions opts;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   // Theorem 1: misses at level j <= Q*(t; σMj). Our accounting charges
   // exactly the anchored footprints, so this holds with the glue slack.
   const double q = parallel_cache_complexity(t, opts.sigma * 512);
@@ -53,7 +51,7 @@ TEST(SbScheduler, SpeedupIsMonotoneAndBounded) {
   double t1 = 0.0;
   for (std::size_t p : {1u, 2u, 4u, 8u}) {
     Pmh m(PmhConfig::flat(p, 256, 5));
-    const SchedStats s = run_sb_scheduler(g, m);
+    const SchedStats s = run_scheduler("sb", g, m);
     if (p == 1) t1 = s.makespan;
     const double speedup = t1 / s.makespan;
     EXPECT_GE(speedup, prev * 0.999);  // monotone (allowing fp noise)
@@ -70,8 +68,8 @@ TEST(SbScheduler, NdBeatsNpOnTrs) {
   StrandGraph nd = elaborate(t);
   StrandGraph np = elaborate(t, {.np_mode = true});
   Pmh m(PmhConfig::flat(16, 1024, 10));
-  const double ms_nd = run_sb_scheduler(nd, m).makespan;
-  const double ms_np = run_sb_scheduler(np, m).makespan;
+  const double ms_nd = run_scheduler("sb", nd, m).makespan;
+  const double ms_np = run_scheduler("sb", np, m).makespan;
   EXPECT_LT(ms_nd, ms_np);
 }
 
@@ -79,7 +77,7 @@ TEST(SbScheduler, RespectsBalancedLowerBound) {
   SpawnTree t = make_mm_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(8, 3 * 16 * 16, 10));
-  const SchedStats s = run_sb_scheduler(g, m);
+  const SchedStats s = run_scheduler("sb", g, m);
   // Makespan can't beat perfect balance of work alone.
   EXPECT_GE(s.makespan * 8.0, s.total_work - 1e-6);
 }
@@ -88,7 +86,7 @@ TEST(SbScheduler, TwoTierMachineCompletes) {
   SpawnTree t = make_trs_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::two_tier(2, 4, 256, 4096, 2, 20));
-  const SchedStats s = run_sb_scheduler(g, m);
+  const SchedStats s = run_scheduler("sb", g, m);
   EXPECT_GT(s.makespan, 0.0);
   ASSERT_EQ(s.misses.size(), 2u);
   EXPECT_GT(s.misses[1], 0.0);
@@ -102,7 +100,7 @@ TEST(SbScheduler, ChargeMissesOffGivesPureWorkMakespanOnOneProc) {
   Pmh m(PmhConfig::flat(1, 256, 100));
   SchedOptions opts;
   opts.charge_misses = false;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   EXPECT_NEAR(s.makespan, g.work(), 1e-9);
 }
 
@@ -110,7 +108,7 @@ TEST(WsScheduler, CompletesAndConservesWork) {
   SpawnTree t = make_lcs_tree(64, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(4, 256, 5));
-  const SchedStats s = run_ws_scheduler(g, m);
+  const SchedStats s = run_scheduler("ws", g, m);
   EXPECT_DOUBLE_EQ(s.total_work, g.work());
   EXPECT_GT(s.makespan, 0.0);
   EXPECT_GT(s.atomic_units, 0u);
@@ -122,8 +120,8 @@ TEST(WsScheduler, SbHasNoMoreMissesThanWs) {
   SpawnTree t = make_mm_tree(32, 4);
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::flat(8, 3 * 16 * 16, 10));
-  const SchedStats sb = run_sb_scheduler(g, m);
-  const SchedStats ws = run_ws_scheduler(g, m);
+  const SchedStats sb = run_scheduler("sb", g, m);
+  const SchedStats ws = run_scheduler("ws", g, m);
   EXPECT_LE(sb.misses[0], ws.misses[0] * 1.001);
 }
 
@@ -133,8 +131,8 @@ TEST(WsScheduler, DeterministicForFixedSeed) {
   Pmh m(PmhConfig::flat(4, 512, 5));
   SchedOptions o;
   o.seed = 7;
-  const SchedStats a = run_ws_scheduler(g, m, o);
-  const SchedStats b = run_ws_scheduler(g, m, o);
+  const SchedStats a = run_scheduler("ws", g, m, o);
+  const SchedStats b = run_scheduler("ws", g, m, o);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.steals, b.steals);
 }
@@ -243,6 +241,44 @@ TEST(Sched, SbOutputIsPinned) {
     h.mix(std::uint64_t(rec.events().size()));
     for (const obs::Event& e : rec.events()) h.mix(e);
     EXPECT_EQ(h.h, c.hash) << c.spec;
+  }
+
+  // The service regime: the small jobs of the serve benchmark's mix on
+  // deep2x4, where one L2 task leases a few L1 caches and most units queue
+  // behind a single L1 lease, so most idle processors can reach no queued
+  // unit. Same grid and traced cell, on that machine alone.
+  const Case serve_cases[] = {
+      {"mm:n=16", 0xb59c1259dc527f68ull},
+      {"lcs:n=64", 0xe8ee60784416cc09ull},
+      {"gen:family=wavefront,n=4", 0x9c7fcd5dcc4f38e2ull},
+      {"gen:family=sp,depth=4,fan=3,cross=60,seed=13", 0x258b3e1d35e37874ull},
+  };
+  const Pmh& deep = machines[1];
+  for (const Case& c : serve_cases) {
+    const exp::Workload w(exp::parse_workload(c.spec));
+    Fnv h;
+    for (double sigma : {1.0 / 3.0, 0.5}) {
+      const CondensedDag dag(w.graph(), level_cache_sizes(deep), sigma);
+      for (double alpha : {1.0, 0.5})
+        for (bool misses : {false, true}) {
+          SchedOptions o;
+          o.sigma = sigma;
+          o.alpha_prime = alpha;
+          o.measure_misses = misses;
+          SimCore core(dag, deep, o);
+          h.mix(core.run(*make_scheduler("sb", o)));
+        }
+    }
+    obs::EventRecorder rec;
+    SchedOptions o;
+    o.measure_misses = true;
+    o.sink = &rec;
+    const CondensedDag dag(w.graph(), level_cache_sizes(deep), o.sigma);
+    SimCore core(dag, deep, o);
+    h.mix(core.run(*make_scheduler("sb", o)));
+    h.mix(std::uint64_t(rec.events().size()));
+    for (const obs::Event& e : rec.events()) h.mix(e);
+    EXPECT_EQ(h.h, c.hash) << c.spec << " 0x" << std::hex << h.h;
   }
 }
 

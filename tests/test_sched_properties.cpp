@@ -20,9 +20,8 @@
 #include "analysis/pcc.hpp"
 #include "nd/drs.hpp"
 #include "obs/recorder.hpp"
-#include "sched/sb_scheduler.hpp"
+#include "sched/registry.hpp"
 #include "sched/trace.hpp"
-#include "sched/ws_scheduler.hpp"
 
 namespace ndf {
 namespace {
@@ -56,7 +55,7 @@ TEST_P(SchedProperty, MissesIndependentOfProcessorCount) {  // S1
   std::vector<double> first;
   for (std::size_t p : {1u, 3u, 8u}) {
     Pmh m(PmhConfig::flat(p, c().M1, 7));
-    const SchedStats s = run_sb_scheduler(g, m);
+    const SchedStats s = run_scheduler("sb", g, m);
     if (first.empty())
       first = s.misses;
     else
@@ -70,7 +69,7 @@ TEST_P(SchedProperty, MakespanMonotoneAndSpeedupBounded) {  // S2
   double t1 = 0.0, prev = 1e300;
   for (std::size_t p : {1u, 2u, 4u, 8u, 16u}) {
     Pmh m(PmhConfig::flat(p, c().M1, 7));
-    const double ms = run_sb_scheduler(g, m).makespan;
+    const double ms = run_scheduler("sb", g, m).makespan;
     if (p == 1) t1 = ms;
     EXPECT_LE(ms, prev * 1.0001) << c().name << " p=" << p;
     EXPECT_LE(t1 / ms, double(p) + 1e-9);
@@ -84,7 +83,7 @@ TEST_P(SchedProperty, Theorem1MissBound) {  // S3
   SchedOptions o;
   for (double M1 : {c().M1, 4.0 * c().M1}) {
     Pmh m(PmhConfig::flat(4, M1, 7));
-    const SchedStats s = run_sb_scheduler(g, m, o);
+    const SchedStats s = run_scheduler("sb", g, m, o);
     EXPECT_LE(s.misses[0], parallel_cache_complexity(t, o.sigma * M1));
   }
 }
@@ -96,7 +95,7 @@ TEST_P(SchedProperty, TraceConsistentWithStats) {  // S4
   obs::EventRecorder rec;
   SchedOptions o;
   o.sink = &rec;
-  const SchedStats s = run_sb_scheduler(g, m, o);
+  const SchedStats s = run_scheduler("sb", g, m, o);
   const Trace trace = rec.unit_trace();
   std::string msg;
   ASSERT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
@@ -113,8 +112,8 @@ TEST_P(SchedProperty, NdMakespanAtMostNpUpToAnomalies) {  // S5
   Pmh m(PmhConfig::flat(8, c().M1, 7));
   // 10% margin: MM has no span gap and greedy anchoring order can differ
   // slightly; the algorithms with genuine gaps (TRS/CHO/LCS) win outright.
-  EXPECT_LE(run_sb_scheduler(nd, m).makespan,
-            run_sb_scheduler(np, m).makespan * 1.10);
+  EXPECT_LE(run_scheduler("sb", nd, m).makespan,
+            run_scheduler("sb", np, m).makespan * 1.10);
 }
 
 TEST_P(SchedProperty, WsDeterministicAndBalanceBounded) {  // S6
@@ -123,13 +122,13 @@ TEST_P(SchedProperty, WsDeterministicAndBalanceBounded) {  // S6
   Pmh m(PmhConfig::flat(8, c().M1, 7));
   SchedOptions o;
   o.seed = 123;
-  const SchedStats a = run_ws_scheduler(g, m, o);
-  const SchedStats b = run_ws_scheduler(g, m, o);
+  const SchedStats a = run_scheduler("ws", g, m, o);
+  const SchedStats b = run_scheduler("ws", g, m, o);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_GE(a.makespan * 8.0, a.total_work - 1e-6);
   // Different seeds: still complete, same total work.
   o.seed = 9999;
-  const SchedStats d = run_ws_scheduler(g, m, o);
+  const SchedStats d = run_scheduler("ws", g, m, o);
   EXPECT_DOUBLE_EQ(d.total_work, a.total_work);
 }
 
@@ -137,8 +136,8 @@ TEST_P(SchedProperty, TwoTierWsNeverBeatsSbOnUpperLevelMisses) {
   SpawnTree t = c().make();
   StrandGraph g = elaborate(t);
   Pmh m(PmhConfig::two_tier(2, 4, c().M1 / 4.0, 4.0 * c().M1, 3, 30));
-  const SchedStats sb = run_sb_scheduler(g, m);
-  const SchedStats ws = run_ws_scheduler(g, m);
+  const SchedStats sb = run_scheduler("sb", g, m);
+  const SchedStats ws = run_scheduler("ws", g, m);
   EXPECT_LE(sb.misses[1], ws.misses[1] * 1.0001) << c().name;
 }
 

@@ -28,6 +28,7 @@
 //       a second run() throws again
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -366,6 +367,86 @@ TEST(ServeEngine, ClosedLoopIsDeterministic) {  // V6
   ASSERT_EQ(serial.results()[0].jobs.size(), 9u);
   // Symmetric clients over the same rotation: perfectly fair service.
   EXPECT_EQ(serial.results()[0].summary.tenants, 3u);
+}
+
+/// FNV-1a over 64-bit words and strings; doubles enter by bit pattern.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void mix(double d) {
+    std::uint64_t x;
+    std::memcpy(&x, &d, sizeof x);
+    mix(x);
+  }
+  void mix(const std::string& s) {
+    mix(std::uint64_t(s.size()));
+    for (char ch : s) mix(std::uint64_t(static_cast<unsigned char>(ch)));
+  }
+  void mix(const serve::JobRecord& r) {
+    mix(std::uint64_t(r.job.index));
+    mix(r.job.tenant);
+    mix(r.job.workload.label());
+    mix(r.job.arrival);
+    mix(r.job.deadline);
+    mix(r.start);
+    mix(r.completion);
+    mix(r.latency);
+    mix(r.service);
+    mix(r.utilization);
+    mix(std::uint64_t(r.deadline_met));
+    mix(std::uint64_t(r.measured_misses.size()));
+    for (double q : r.measured_misses) mix(q);
+    mix(r.comm_cost);
+  }
+};
+
+TEST(Serve, OpenStreamOutputIsPinned) {  // V6
+  // Every JobRecord field of a 2,000-job poisson stream over the serve
+  // benchmark's small-job mix on deep2x4, arriving faster than it can be
+  // served so the admission queue grows long, with per-tenant deadlines
+  // that make EDF reorder it; then a closed loop over the same mix. Taken
+  // from the engine that copied every job into a linear admission queue.
+  const std::vector<exp::WorkloadSpec> mix = exp::parse_workload_list(
+      "mm:n=16;lcs:n=64;gen:family=wavefront,n=4;"
+      "gen:family=sp,depth=4,fan=3,cross=60,seed=13");
+  ServeScenario open;
+  open.name = "pin";
+  open.jobs = serve::expand_open_arrivals(
+      serve::parse_arrivals("poisson:rate=0.0001,jobs=2000,tenants=4,seed=5"),
+      mix);
+  for (JobSpec& j : open.jobs)
+    j.deadline = j.arrival + 20000.0 * double(1 + j.index % 4);
+  open.machines = {"deep2x4"};
+  open.policies = {"sb", "edf", "ws"};
+  ServeScenario closed = open;
+  closed.jobs.clear();
+  closed.closed =
+      serve::parse_arrivals("closed:clients=6,jobs=40,think=300,deadline=60000");
+  closed.mix = mix;
+
+  const std::pair<const ServeScenario*, std::vector<std::uint64_t>> cases[] =
+      {{&open,
+        {0x7453d465e3606a2cull, 0xe5cf391c65562cc1ull, 0x3fda57ccfce7660cull}},
+       {&closed,
+        {0xb194566bee623444ull, 0x4f1fea6a442844b5ull, 0x7f793a5bea6b0246ull}}};
+  for (const auto& [scenario, hashes] : cases) {
+    ServeSweep sweep(*scenario, 2);
+    const std::vector<ServeCell>& cells = sweep.run();
+    ASSERT_EQ(cells.size(), hashes.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      Fnv h;
+      h.mix(std::uint64_t(cells[c].jobs.size()));
+      for (const serve::JobRecord& r : cells[c].jobs) h.mix(r);
+      EXPECT_EQ(h.h, hashes[c]) << cells[c].policy
+                                << (scenario->closed ? " closed" : " open")
+                                << " 0x" << std::hex << h.h;
+    }
+  }
 }
 
 TEST(ServeEngine, PerJobMeasuredMissAttribution) {  // V7

@@ -5,9 +5,8 @@
 #include "algos/trs.hpp"
 #include "nd/drs.hpp"
 #include "obs/recorder.hpp"
-#include "sched/sb_scheduler.hpp"
+#include "sched/registry.hpp"
 #include "sched/trace.hpp"
-#include "sched/ws_scheduler.hpp"
 #include "support/args.hpp"
 #include "support/summary.hpp"
 
@@ -21,7 +20,7 @@ TEST(TraceTest, SbTraceIsValidAndCoversAllUnits) {
   obs::EventRecorder rec;
   SchedOptions opts;
   opts.sink = &rec;
-  const SchedStats s = run_sb_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("sb", g, m, opts);
   const Trace trace = rec.unit_trace();
   EXPECT_EQ(trace.size(), s.atomic_units);
   std::string msg;
@@ -39,7 +38,7 @@ TEST(TraceTest, WsTraceIsValid) {
   obs::EventRecorder rec;
   SchedOptions opts;
   opts.sink = &rec;
-  const SchedStats s = run_ws_scheduler(g, m, opts);
+  const SchedStats s = run_scheduler("ws", g, m, opts);
   const Trace trace = rec.unit_trace();
   EXPECT_EQ(trace.size(), s.atomic_units);
   std::string msg;
