@@ -42,9 +42,9 @@ expect_exit_2 "mm:n=abc" ndf_serve --workloads=mm:n=abc \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
 expect_exit_2 "mm:n=abc" ndf_native --workloads=mm:n=abc
 expect_exit_2 "unknown scheduler 'nope'" bench_sb_vs_ws --sched=nope
-expect_exit_2 "[1, 128]" ndf_sweep --workloads=gen:family=wavefront,n=256 \
+expect_exit_2 "[1, 256]" ndf_sweep --workloads=gen:family=wavefront,n=257 \
     --machines=flat8
-expect_exit_2 "[1, 128]" ndf_serve --workloads=gen:family=wavefront,n=256 \
+expect_exit_2 "[1, 256]" ndf_serve --workloads=gen:family=wavefront,n=257 \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
 if [[ -x $BUILD_DIR/inspect_dag ]]; then
   expect_exit_2 "unknown flag --bogus" inspect_dag --bogus

@@ -38,16 +38,12 @@ struct ChoBuilder {
 
   NodeId build(std::size_t n, const std::optional<MatrixView<double>>& A) {
     if (n <= base) {
-      NodeId id;
-      if (A) {
-        MatrixView<double> Av = *A;
-        id = t.strand(leaf_work(n), task_size(n), "cho",
-                      [Av] { cholesky_reference(Av); });
-        append_segments(t.node(id).reads, segments_of(Av));
-        append_segments(t.node(id).writes, segments_of(Av));
-      } else {
-        id = t.strand(leaf_work(n), task_size(n), "cho");
-      }
+      if (!A) return t.strand(leaf_work(n), task_size(n), "cho");
+      const MatrixView<double> Av = *A;
+      const NodeId id = t.strand(leaf_work(n), task_size(n), "cho",
+                                 [Av] { cholesky_reference(Av); });
+      t.add_reads(id, segments_of(Av));
+      t.add_writes(id, segments_of(Av));
       return id;
     }
 

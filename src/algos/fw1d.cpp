@@ -74,26 +74,22 @@ struct Fw1dBuilder {
               std::size_t si) {
     const double work = double(st) * si;
     const double size = double(st) * si + 2.0 * st;
-    NodeId id;
-    if (D) {
-      Matrix<double>* Dp = D;
-      id = t.strand(work, size, "fw1d",
-                    [Dp, t0, i0, st, si] { fw1d_block(*Dp, t0, i0, st, si); });
-      SpawnNode& node = t.node(id);
-      MatrixView<double> dv = Dp->view();
-      // Reads: the row above the block and the diagonal cells
-      // (t-1, t-1) for t in the block's row range.
-      append_segments(node.reads, segments_of(dv.block(t0 - 1, i0, 1, si)));
-      for (std::size_t k = 0; k < st; ++k) {
-        const double* cell = &(*Dp)(t0 - 1 + k, t0 - 1 + k);
-        node.reads.push_back(
-            MemSegment{reinterpret_cast<std::uintptr_t>(cell),
-                       reinterpret_cast<std::uintptr_t>(cell + 1)});
-      }
-      append_segments(node.writes, segments_of(dv.block(t0, i0, st, si)));
-    } else {
-      id = t.strand(work, size, "fw1d");
+    if (!D) return t.strand(work, size, "fw1d");
+    Matrix<double>* Dp = D;
+    const NodeId id = t.strand(
+        work, size, "fw1d",
+        [Dp, t0, i0, st, si] { fw1d_block(*Dp, t0, i0, st, si); });
+    MatrixView<double> dv = Dp->view();
+    // Reads: the row above the block and the diagonal cells
+    // (t-1, t-1) for t in the block's row range.
+    t.add_reads(id, segments_of(dv.block(t0 - 1, i0, 1, si)));
+    for (std::size_t k = 0; k < st; ++k) {
+      const double* cell = &(*Dp)(t0 - 1 + k, t0 - 1 + k);
+      const MemSegment seg{reinterpret_cast<std::uintptr_t>(cell),
+                           reinterpret_cast<std::uintptr_t>(cell + 1)};
+      t.add_reads(id, {&seg, 1});
     }
+    t.add_writes(id, segments_of(dv.block(t0, i0, st, si)));
     return id;
   }
 

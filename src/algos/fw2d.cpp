@@ -50,10 +50,9 @@ struct Fw2dBuilder {
       View x = *X, u = *U, v = *V;
       NodeId id = t.strand(work, task_size(kind, s), "fw",
                            [x, u, v] { fw_leaf(x, u, v); });
-      SpawnNode& node = t.node(id);
-      append_segments(node.reads, segments_of(u));
-      append_segments(node.reads, segments_of(v));
-      append_segments(node.writes, segments_of(x));
+      t.add_reads(id, segments_of(u));
+      t.add_reads(id, segments_of(v));
+      t.add_writes(id, segments_of(x));
       return id;
     }
     return t.strand(work, task_size(kind, s), "fw");

@@ -42,27 +42,19 @@ struct GotohBuilder {
   NodeId build(std::size_t i0, std::size_t j0, std::size_t si,
                std::size_t sj, const std::optional<GotohViews>& v) {
     if (std::max(si, sj) <= base) {
-      NodeId id;
       const double work = 3.0 * double(si) * sj;
-      if (v) {
-        GotohViews cv = *v;
-        id = t.strand(work, task_size(si, sj), "gotoh",
-                      [cv, i0, j0, si, sj] {
-                        gotoh_block(*cv.S, *cv.T, cv.params, *cv.M, *cv.E,
-                                    *cv.F, i0, j0, si, sj);
-                      });
-        SpawnNode& node = t.node(id);
-        for (Matrix<double>* X : {cv.M, cv.E, cv.F}) {
-          MatrixView<double> xv = X->view();
-          append_segments(node.reads,
-                          segments_of(xv.block(i0 - 1, j0 - 1, 1, sj + 1)));
-          append_segments(node.reads,
-                          segments_of(xv.block(i0, j0 - 1, si, 1)));
-          append_segments(node.writes,
-                          segments_of(xv.block(i0, j0, si, sj)));
-        }
-      } else {
-        id = t.strand(work, task_size(si, sj), "gotoh");
+      if (!v) return t.strand(work, task_size(si, sj), "gotoh");
+      const GotohViews cv = *v;
+      const NodeId id = t.strand(
+          work, task_size(si, sj), "gotoh", [cv, i0, j0, si, sj] {
+            gotoh_block(*cv.S, *cv.T, cv.params, *cv.M, *cv.E, *cv.F, i0,
+                        j0, si, sj);
+          });
+      for (Matrix<double>* X : {cv.M, cv.E, cv.F}) {
+        MatrixView<double> xv = X->view();
+        t.add_reads(id, segments_of(xv.block(i0 - 1, j0 - 1, 1, sj + 1)));
+        t.add_reads(id, segments_of(xv.block(i0, j0 - 1, si, 1)));
+        t.add_writes(id, segments_of(xv.block(i0, j0, si, sj)));
       }
       return id;
     }

@@ -55,26 +55,18 @@ struct LcsBuilder {
   NodeId build(std::size_t i0, std::size_t j0, std::size_t si,
                std::size_t sj, const std::optional<LcsViews>& v) {
     if (std::max(si, sj) <= base) {
-      NodeId id;
-      if (v) {
-        LcsViews cv = *v;
-        id = t.strand(double(si) * sj, task_size(si, sj), "lcs",
-                      [cv, i0, j0, si, sj] {
-                        lcs_block(*cv.S, *cv.T, *cv.X, i0, j0, si, sj);
-                      });
-        SpawnNode& node = t.node(id);
-        Matrix<int>& X = *cv.X;
-        // Reads: the row above (incl. the diagonal corner) and the column
-        // to the left of the block.
-        MatrixView<int> xv = X.view();
-        append_segments(node.reads,
-                        segments_of(xv.block(i0 - 1, j0 - 1, 1, sj + 1)));
-        append_segments(node.reads,
-                        segments_of(xv.block(i0, j0 - 1, si, 1)));
-        append_segments(node.writes, segments_of(xv.block(i0, j0, si, sj)));
-      } else {
-        id = t.strand(double(si) * sj, task_size(si, sj), "lcs");
-      }
+      if (!v) return t.strand(double(si) * sj, task_size(si, sj), "lcs");
+      const LcsViews cv = *v;
+      const NodeId id = t.strand(
+          double(si) * sj, task_size(si, sj), "lcs", [cv, i0, j0, si, sj] {
+            lcs_block(*cv.S, *cv.T, *cv.X, i0, j0, si, sj);
+          });
+      // Reads: the row above (incl. the diagonal corner) and the column
+      // to the left of the block.
+      MatrixView<int> xv = cv.X->view();
+      t.add_reads(id, segments_of(xv.block(i0 - 1, j0 - 1, 1, sj + 1)));
+      t.add_reads(id, segments_of(xv.block(i0, j0 - 1, si, 1)));
+      t.add_writes(id, segments_of(xv.block(i0, j0, si, sj)));
       return id;
     }
 

@@ -87,8 +87,7 @@ struct LuBuilder {
                          }
                          (*sc)[k] = best;
                        });
-          append_segments(t.node(s).reads,
-                          segments_of(cv.A.block(lo, pc, len, 1)));
+          t.add_reads(s, segments_of(cv.A.block(lo, pc, len, 1)));
         } else {
           s = t.strand(double(len), double(len) + 1.0, "piv_scan");
         }
@@ -135,8 +134,8 @@ struct LuBuilder {
                        });
           // Conservative: the pivot row is data dependent.
           auto span_rows = cv.A.block(pr, col0, n - pr, c);
-          append_segments(t.node(s).reads, segments_of(span_rows));
-          append_segments(t.node(s).writes, segments_of(span_rows));
+          t.add_reads(s, segments_of(span_rows));
+          t.add_writes(s, segments_of(span_rows));
         } else {
           s = t.strand(double(c) + 1.0, 2.0 * c + 1.0, "piv_swap");
         }
@@ -162,10 +161,8 @@ struct LuBuilder {
                                cv.A(i, k) -= l * cv.A(pr, k);
                            }
                          });
-            append_segments(t.node(s).reads,
-                            segments_of(cv.A.block(pr, pc, 1, w)));
-            append_segments(t.node(s).writes,
-                            segments_of(cv.A.block(lo, pc, len, w)));
+            t.add_reads(s, segments_of(cv.A.block(pr, pc, 1, w)));
+            t.add_writes(s, segments_of(cv.A.block(lo, pc, len, w)));
           } else {
             s = t.strand(double(len) * w, double(len) * w + w, "piv_upd");
           }
@@ -193,8 +190,8 @@ struct LuBuilder {
       apply_pivots(cv.A, *cv.ipiv, k0, k1, c0, c0 + w);
     });
     auto touched = cv.A.block(k0, c0, n - k0, w);
-    append_segments(t.node(id).reads, segments_of(touched));
-    append_segments(t.node(id).writes, segments_of(touched));
+    t.add_reads(id, segments_of(touched));
+    t.add_writes(id, segments_of(touched));
     return id;
   }
 

@@ -108,21 +108,15 @@ struct MmBuilder {
     }
 
     if (maxdim <= base) {
-      std::function<void()> body;
-      NodeId id;
-      if (v) {
-        MmViews cv = *v;
-        const double sg = sign;
-        body = [cv, sg] {
-          mm_reference(cv.A, cv.B, cv.C, sg, cv.b_transposed);
-        };
-        id = t.strand(work, size, "mm", std::move(body));
-        append_segments(t.node(id).reads, segments_of(cv.A));
-        append_segments(t.node(id).reads, segments_of(cv.B));
-        append_segments(t.node(id).writes, segments_of(cv.C));
-      } else {
-        id = t.strand(work, size, "mm");
-      }
+      if (!v) return t.strand(work, size, "mm");
+      const MmViews cv = *v;
+      const double sg = sign;
+      const NodeId id = t.strand(work, size, "mm", [cv, sg] {
+        mm_reference(cv.A, cv.B, cv.C, sg, cv.b_transposed);
+      });
+      t.add_reads(id, segments_of(cv.A));
+      t.add_reads(id, segments_of(cv.B));
+      t.add_writes(id, segments_of(cv.C));
       return id;
     }
 

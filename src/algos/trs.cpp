@@ -45,17 +45,14 @@ struct TrsBuilder {
   NodeId build(std::size_t n, std::size_t m,
                const std::optional<TrsViews>& v) {
     if (std::max(n, m) <= base) {
-      NodeId id;
-      if (v) {
-        TrsViews cv = *v;
-        const TrsSide s = side;
-        id = t.strand(leaf_work(n, m), task_size(n, m), "trs",
-                      [cv, s] { trs_reference(s, cv.T, cv.B, cv.unit_diag); });
-        append_segments(t.node(id).reads, segments_of(cv.T));
-        append_segments(t.node(id).writes, segments_of(cv.B));
-      } else {
-        id = t.strand(leaf_work(n, m), task_size(n, m), "trs");
-      }
+      if (!v) return t.strand(leaf_work(n, m), task_size(n, m), "trs");
+      const TrsViews cv = *v;
+      const TrsSide s = side;
+      const NodeId id = t.strand(
+          leaf_work(n, m), task_size(n, m), "trs",
+          [cv, s] { trs_reference(s, cv.T, cv.B, cv.unit_diag); });
+      t.add_reads(id, segments_of(cv.T));
+      t.add_writes(id, segments_of(cv.B));
       return id;
     }
 

@@ -10,8 +10,9 @@
 // our transcription of the rule tables (including the documented VH / TM1
 // corrections).
 //
-// Intended for small problem instances (cost is O(|V|·|S|/64) memory for
-// reachability bitsets plus O(|S|²) conflict pairs).
+// Conflicting pairs come from one sort of the declared segments.
+// Reachability costs O(|E|·|S|/64) word operations, done in strand-column
+// blocks so its bitsets stay near 64 MB; the pairs cost one entry each.
 #pragma once
 
 #include <string>

@@ -85,7 +85,7 @@ EccResult effective_cache_complexity(const SpawnTree& tree,
   std::vector<double> eff(d.maximal.size());
   double q_sum = 0.0;
   for (std::size_t i = 0; i < d.maximal.size(); ++i) {
-    const double s = tree.size_of(d.maximal[i]);
+    const double s = d.maximal_size[i];
     NDF_CHECK(s > 0.0);
     eff[i] = std::ceil(std::pow(s, 1.0 - alpha));
     q_sum += s;

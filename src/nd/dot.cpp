@@ -10,7 +10,8 @@ std::string node_label(const SpawnTree& t, NodeId n) {
   const SpawnNode& node = t.node(n);
   switch (node.kind) {
     case Kind::Strand:
-      return node.label.empty() ? "s" + std::to_string(n) : node.label;
+      return t.label(n).empty() ? "s" + std::to_string(n)
+                                : std::string(t.label(n));
     case Kind::Seq:
       return ";";
     case Kind::Par:
@@ -32,7 +33,7 @@ std::string to_dot(const SpawnTree& tree) {
     os << "  n" << n << " [label=\"" << node_label(tree, n) << "\"";
     if (tree.node(n).kind == Kind::Strand) os << ", style=filled";
     os << "];\n";
-    for (NodeId c : tree.node(n).children)
+    for (NodeId c : tree.children(n))
       os << "  n" << n << " -> n" << c << " [style=dotted, arrowhead=none];\n";
   }
   os << "}\n";

@@ -21,21 +21,22 @@ class Elaborator {
     for (NodeId n = 0; n < tree_.num_nodes(); ++n) {
       if (!live_[n]) continue;  // ignore detached nodes
       const SpawnNode& node = tree_.node(n);
+      const std::span<const NodeId> kids = tree_.children(n);
       switch (node.kind) {
         case Kind::Strand:
           edges_.push_back({StrandGraph::enter(n), StrandGraph::exit(n)});
           break;
         case Kind::Seq:
-          link_children(n);
-          for (std::size_t i = 0; i + 1 < node.children.size(); ++i)
-            solid(node.children[i], node.children[i + 1]);
+          link_children(n, kids);
+          for (std::size_t i = 0; i + 1 < kids.size(); ++i)
+            solid(kids[i], kids[i + 1]);
           break;
         case Kind::Par:
-          link_children(n);
+          link_children(n, kids);
           break;
         case Kind::Fire:
-          link_children(n);
-          rewrite(node.children[0], node.children[1], node.fire_type, 0);
+          link_children(n, kids);
+          rewrite(kids[0], kids[1], node.fire_type, 0);
           break;
       }
     }
@@ -44,8 +45,8 @@ class Elaborator {
   }
 
  private:
-  void link_children(NodeId n) {
-    for (NodeId c : tree_.node(n).children) {
+  void link_children(NodeId n, std::span<const NodeId> kids) {
+    for (NodeId c : kids) {
       edges_.push_back({StrandGraph::enter(n), StrandGraph::enter(c)});
       edges_.push_back({StrandGraph::exit(c), StrandGraph::exit(n)});
     }

@@ -67,7 +67,6 @@ class StrandGraph {
     return {targets_.data() + offsets_[v], targets_.data() + offsets_[v + 1]};
   }
   std::size_t in_degree(VertexId v) const { return in_degree_[v]; }
-  double vertex_weight(VertexId v) const { return weight_[v]; }
 
   /// Solid task-level arrows recorded during elaboration, including seq
   /// ordering edges; used to condense onto M-maximal tasks.

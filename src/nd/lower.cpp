@@ -9,24 +9,17 @@ SpawnTree lower_to_np(const SpawnTree& tree) {
     const SpawnNode& node = tree.node(n);
     if (node.kind == Kind::Strand) {
       const NodeId id =
-          out.strand(node.work, node.size, node.label, node.body);
-      out.node(id).reads = node.reads;
-      out.node(id).writes = node.writes;
+          out.strand(node.work, node.size, tree.label(n), tree.body(n));
+      out.add_reads(id, tree.reads(n));
+      out.add_writes(id, tree.writes(n));
       return id;
     }
     std::vector<NodeId> kids;
-    kids.reserve(node.children.size());
-    for (NodeId c : node.children) kids.push_back(self(self, c));
-    switch (node.kind) {
-      case Kind::Par:
-        return out.par(std::move(kids), node.size, node.label);
-      case Kind::Seq:
-      case Kind::Fire:
-        return out.seq(std::move(kids), node.size, node.label);
-      default:
-        NDF_CHECK(false);
-        return kNoNode;
-    }
+    kids.reserve(tree.children(n).size());
+    for (NodeId c : tree.children(n)) kids.push_back(self(self, c));
+    // Fires become seqs: the NP elision of every dataflow arrow.
+    return node.kind == Kind::Par ? out.par(kids, node.size, tree.label(n))
+                                  : out.seq(kids, node.size, tree.label(n));
   };
   out.set_root(copy(copy, tree.root()));
   return out;

@@ -17,18 +17,18 @@ namespace ndf {
 class Pedigree {
  public:
   Pedigree() = default;
-  Pedigree(std::initializer_list<std::uint8_t> ix) : ix_(ix) {
+  Pedigree(std::initializer_list<std::uint16_t> ix) : ix_(ix) {
     for (auto i : ix_) NDF_CHECK_MSG(i >= 1, "pedigree indices are 1-based");
   }
   /// Dynamic-length form for programmatically built rule tables (the
   /// synthetic workload generator samples pedigrees at runtime).
-  explicit Pedigree(std::vector<std::uint8_t> ix) : ix_(std::move(ix)) {
+  explicit Pedigree(std::vector<std::uint16_t> ix) : ix_(std::move(ix)) {
     for (auto i : ix_) NDF_CHECK_MSG(i >= 1, "pedigree indices are 1-based");
   }
 
   std::size_t depth() const { return ix_.size(); }
   bool empty() const { return ix_.empty(); }
-  std::uint8_t operator[](std::size_t i) const { return ix_[i]; }
+  std::uint16_t operator[](std::size_t i) const { return ix_[i]; }
 
   auto begin() const { return ix_.begin(); }
   auto end() const { return ix_.end(); }
@@ -49,7 +49,7 @@ class Pedigree {
   }
 
  private:
-  std::vector<std::uint8_t> ix_;
+  std::vector<std::uint16_t> ix_;
 };
 
 }  // namespace ndf

@@ -2,69 +2,90 @@
 
 namespace ndf {
 
-NodeId SpawnTree::add_node(SpawnNode n) {
-  nodes_.push_back(std::move(n));
-  return static_cast<NodeId>(nodes_.size() - 1);
-}
-
-void SpawnTree::adopt(NodeId parent, const std::vector<NodeId>& children) {
+NodeId SpawnTree::add_node(Kind kind, std::span<const NodeId> children,
+                           double size, std::string_view label) {
+  NDF_CHECK_MSG(kind == Kind::Strand || kind == Kind::Fire ||
+                    children.size() >= 2,
+                (kind == Kind::Seq ? "seq" : "par")
+                    << " needs >= 2 children");
+  NDF_CHECK_MSG(nodes_.size() < kNoNode, "spawn tree is full");
+  NDF_CHECK_MSG(kids_.size() + children.size() <= UINT32_MAX,
+                "spawn tree child array is full");
+  const NodeId id = static_cast<NodeId>(nodes_.size());
   for (NodeId c : children) {
+    NDF_CHECK_MSG(c < id, "child " << c << " does not exist yet");
     NDF_CHECK_MSG(nodes_[c].parent == kNoNode,
                   "node " << c << " already has a parent");
-    nodes_[c].parent = parent;
+    nodes_[c].parent = id;
   }
-}
-
-NodeId SpawnTree::strand(double work, double size, std::string label,
-                         std::function<void()> body) {
-  NDF_CHECK(work >= 0.0 && size >= 0.0);
-  SpawnNode n;
-  n.kind = Kind::Strand;
-  n.work = work;
+  SpawnNode& n = nodes_.emplace_back();
+  n.kind = kind;
   n.size = size;
-  n.label = std::move(label);
-  n.body = std::move(body);
-  return add_node(std::move(n));
-}
-
-NodeId SpawnTree::seq(std::vector<NodeId> children, double size,
-                      std::string label) {
-  NDF_CHECK_MSG(children.size() >= 2, "seq needs >= 2 children");
-  SpawnNode n;
-  n.kind = Kind::Seq;
-  n.children = std::move(children);
-  n.size = size;
-  n.label = std::move(label);
-  NodeId id = add_node(std::move(n));
-  adopt(id, nodes_[id].children);
+  n.label = intern(label);
+  n.first_child = static_cast<std::uint32_t>(kids_.size());
+  n.num_children = static_cast<std::uint32_t>(children.size());
+  kids_.insert(kids_.end(), children.begin(), children.end());
   return id;
 }
 
-NodeId SpawnTree::par(std::vector<NodeId> children, double size,
-                      std::string label) {
-  NDF_CHECK_MSG(children.size() >= 2, "par needs >= 2 children");
-  SpawnNode n;
-  n.kind = Kind::Par;
-  n.children = std::move(children);
-  n.size = size;
-  n.label = std::move(label);
-  NodeId id = add_node(std::move(n));
-  adopt(id, nodes_[id].children);
+std::uint32_t SpawnTree::intern(std::string_view label) {
+  if (label.empty()) return 0;
+  for (const std::uint32_t ix : recent_labels_)
+    if (ix != 0 && label_at(ix) == label) return ix;
+  NDF_CHECK_MSG(label_chars_.size() + label.size() <= UINT32_MAX,
+                "spawn tree label table is full");
+  label_chars_.append(label);
+  label_off_.push_back(static_cast<std::uint32_t>(label_chars_.size()));
+  const auto ix = static_cast<std::uint32_t>(label_off_.size() - 2);
+  recent_labels_[ix % recent_labels_.size()] = ix;
+  return ix;
+}
+
+NodeId SpawnTree::strand(double work, double size, std::string_view label,
+                         Body body) {
+  NDF_CHECK(work >= 0.0 && size >= 0.0);
+  const NodeId id = add_node(Kind::Strand, {}, size, label);
+  nodes_[id].work = work;
+  if (body) set_body(id, std::move(body));
   return id;
 }
 
 NodeId SpawnTree::fire(FireType type, NodeId left, NodeId right, double size,
-                       std::string label) {
+                       std::string_view label) {
   NDF_CHECK(rules_.valid(type));
-  SpawnNode n;
-  n.kind = Kind::Fire;
-  n.fire_type = type;
-  n.children = {left, right};
-  n.size = size;
-  n.label = std::move(label);
-  NodeId id = add_node(std::move(n));
-  adopt(id, nodes_[id].children);
+  const NodeId pair[2] = {left, right};
+  const NodeId id = add_node(Kind::Fire, pair, size, label);
+  nodes_[id].fire_type = type;
   return id;
+}
+
+void SpawnTree::set_body(NodeId id, Body body) {
+  NDF_CHECK_MSG(id < nodes_.size() && is_strand(id),
+                "only strands carry bodies (node " << id << ")");
+  if (id >= bodies_.size()) {
+    if (!body) return;
+    bodies_.resize(std::max<std::size_t>(id + 1, nodes_.size()));
+  }
+  bodies_[id] = std::move(body);
+}
+
+SpawnTree::Footprint* SpawnTree::footprint(NodeId id, std::size_t added) {
+  NDF_CHECK_MSG(id < nodes_.size() && is_strand(id),
+                "only strands declare footprints (node " << id << ")");
+  if (added == 0) return nullptr;
+  if (id >= footprints_.size())
+    footprints_.resize(std::max<std::size_t>(id + 1, nodes_.size()));
+  return &footprints_[id];
+}
+
+void SpawnTree::add_reads(NodeId id, std::span<const MemSegment> segs) {
+  if (Footprint* f = footprint(id, segs.size()))
+    f->reads.insert(f->reads.end(), segs.begin(), segs.end());
+}
+
+void SpawnTree::add_writes(NodeId id, std::span<const MemSegment> segs) {
+  if (Footprint* f = footprint(id, segs.size()))
+    f->writes.insert(f->writes.end(), segs.begin(), segs.end());
 }
 
 void SpawnTree::set_root(NodeId root) {
@@ -87,28 +108,26 @@ double SpawnTree::work_of(NodeId id) const {
   const SpawnNode& n = node(id);
   if (n.kind == Kind::Strand) return n.work;
   double w = 0.0;
-  for (NodeId c : n.children) w += work_of(c);
+  for (NodeId c : children(id)) w += work_of(c);
   return w;
 }
 
 std::size_t SpawnTree::strand_count(NodeId id) const {
-  const SpawnNode& n = node(id);
-  if (n.kind == Kind::Strand) return 1;
+  if (is_strand(id)) return 1;
   std::size_t k = 0;
-  for (NodeId c : n.children) k += strand_count(c);
+  for (NodeId c : children(id)) k += strand_count(c);
   return k;
 }
 
 NodeId SpawnTree::descend(NodeId id, const Pedigree& p) const {
   NodeId cur = id;
-  for (std::uint8_t ix : p) {
-    const SpawnNode& n = node(cur);
-    if (n.kind == Kind::Strand) break;  // recursion terminated at a leaf
-    NDF_CHECK_MSG(ix <= n.children.size(),
-                  "pedigree index " << int(ix) << " out of range at node "
-                                    << cur << " (" << n.children.size()
-                                    << " children)");
-    cur = n.children[ix - 1];
+  for (const std::uint16_t ix : p) {
+    if (is_strand(cur)) break;  // recursion terminated at a leaf
+    const std::span<const NodeId> kids = children(cur);
+    NDF_CHECK_MSG(ix <= kids.size(),
+                  "pedigree index " << ix << " out of range at node " << cur
+                                    << " (" << kids.size() << " children)");
+    cur = kids[ix - 1];
   }
   return cur;
 }
@@ -128,7 +147,7 @@ std::vector<bool> SpawnTree::reachable() const {
   live[r] = true;
   for (NodeId n = r + 1; n-- > 0;) {
     if (!live[n]) continue;
-    for (NodeId c : nodes_[n].children) {
+    for (NodeId c : children(n)) {
       NDF_DCHECK(c < n);
       live[c] = true;
     }
@@ -140,14 +159,13 @@ std::vector<NodeId> SpawnTree::strands_under(NodeId id) const {
   std::vector<NodeId> out;
   std::vector<NodeId> stack{id};
   while (!stack.empty()) {
-    NodeId cur = stack.back();
+    const NodeId cur = stack.back();
     stack.pop_back();
-    const SpawnNode& n = node(cur);
-    if (n.kind == Kind::Strand) {
+    if (is_strand(cur)) {
       out.push_back(cur);
     } else {
-      for (auto it = n.children.rbegin(); it != n.children.rend(); ++it)
-        stack.push_back(*it);
+      const std::span<const NodeId> kids = children(cur);
+      stack.insert(stack.end(), kids.rbegin(), kids.rend());
     }
   }
   return out;

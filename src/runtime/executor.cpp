@@ -116,12 +116,11 @@ struct AnchorState {
       }
       --level;
     }
-    const SpawnNode& node = tree.node(n);
-    if (node.kind == Kind::Strand) {
+    if (tree.is_strand(n)) {
       plan.strand_group[n] = range;
       return;
     }
-    for (NodeId c : node.children) assign(c, level, range);
+    for (NodeId c : tree.children(n)) assign(c, level, range);
   }
 };
 
@@ -318,11 +317,11 @@ class Pool {
   }
 
   void run_strand(NodeId n, std::size_t worker_ix) {
-    const SpawnNode& node = tree_.node(n);
+    const SpawnTree::Body& body = tree_.body(n);
     WorkerReport& st = stats_[worker_ix].w;
     const auto b0 = std::chrono::steady_clock::now();
     if (opts_.chaos.enabled) spin_iters(chaos_spins(opts_.chaos, n, 0));
-    if (node.body) node.body();
+    if (body) body();
     if (opts_.chaos.enabled) spin_iters(chaos_spins(opts_.chaos, n, 1));
     // enter(n) fired at push time; its only successor is exit(n).
     propagate(g_.enter(n), worker_ix, /*seeding=*/false);
@@ -456,9 +455,9 @@ ExecReport execute_serial(const StrandGraph& g) {
   std::size_t strands = 0;
   for (VertexId v : g.topological_order()) {
     if (g.is_exit(v)) continue;
-    const SpawnNode& n = g.tree().node(g.owner(v));
-    if (n.kind == Kind::Strand) {
-      if (n.body) n.body();
+    const NodeId n = g.owner(v);
+    if (g.tree().is_strand(n)) {
+      if (const SpawnTree::Body& body = g.tree().body(n)) body();
       ++strands;
     }
   }

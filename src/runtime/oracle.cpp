@@ -15,18 +15,17 @@ ExecutionOracle::ExecutionOracle(SpawnTree& tree) : tree_(&tree) {
   for (std::size_t i = 0; i < strands_.size(); ++i) {
     const NodeId n = strands_[i];
     index_[n] = i;
-    SpawnNode& node = tree.node(n);
     // The wrapper stamps start, runs the original payload, then stamps
     // end — so the [start, end] window covers the real body and the
     // arrow-ordering check below is sound for data races too.
-    node.body = [this, i, orig = std::move(node.body)] {
+    tree.set_body(n, [this, i, orig = tree.body(n)] {
       Record& r = rec_[i];
       r.start = clock_.fetch_add(1, std::memory_order_acq_rel);
       r.worker = current_worker();
       r.runs.fetch_add(1, std::memory_order_acq_rel);
       if (orig) orig();
       r.end = clock_.fetch_add(1, std::memory_order_acq_rel);
-    };
+    });
   }
 }
 

@@ -40,10 +40,6 @@ class ExecutionOracle {
   std::size_t num_strands() const { return strands_.size(); }
   /// Times strand `n` ran since the last reset.
   int runs(NodeId n) const { return rec_[index_of(n)].runs.load(); }
-  std::uint64_t start_epoch(NodeId n) const {
-    return rec_[index_of(n)].start;
-  }
-  std::uint64_t end_epoch(NodeId n) const { return rec_[index_of(n)].end; }
   /// Executor worker that ran strand `n` (SIZE_MAX for execute_serial or
   /// a strand that never ran).
   std::size_t worker(NodeId n) const { return rec_[index_of(n)].worker; }

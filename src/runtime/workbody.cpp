@@ -13,11 +13,10 @@ void spin_work(std::uint64_t iters) {
 std::size_t attach_spin_bodies(SpawnTree& tree, double spins_per_work) {
   std::size_t attached = 0;
   for (NodeId n : tree.strands_under(tree.root())) {
-    SpawnNode& node = tree.node(n);
-    if (node.body) continue;
+    if (tree.body(n)) continue;
     const std::uint64_t iters = static_cast<std::uint64_t>(
-        std::max(1.0, node.work * spins_per_work));
-    node.body = [iters] { spin_work(iters); };
+        std::max(1.0, tree.node(n).work * spins_per_work));
+    tree.set_body(n, [iters] { spin_work(iters); });
     ++attached;
   }
   return attached;

@@ -171,8 +171,8 @@ CondensedDag::CondensedDag(const StrandGraph& g, std::vector<double> sizes,
     while (true) {
       Visit& top = stack.back();
       const SpawnNode& node = tree_->node(top.node);
-      if (top.next < node.children.size()) {
-        stack.push_back({node.children[top.next++], 0, 0.0});
+      if (top.next < node.num_children) {
+        stack.push_back({tree_->children(top.node)[top.next++], 0, 0.0});
         continue;
       }
       add_vertex(g_->enter(top.node));

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ndf {
@@ -24,8 +25,8 @@ struct MemSegment {
 };
 
 /// True if any segment of `a` overlaps any segment of `b`.
-inline bool segments_overlap(const std::vector<MemSegment>& a,
-                             const std::vector<MemSegment>& b) {
+inline bool segments_overlap(std::span<const MemSegment> a,
+                             std::span<const MemSegment> b) {
   for (const auto& x : a)
     for (const auto& y : b)
       if (x.overlaps(y)) return true;
@@ -43,12 +44,6 @@ std::vector<MemSegment> segments_of(const MatrixView<T>& v) {
                               reinterpret_cast<std::uintptr_t>(row + v.cols())});
   }
   return segs;
-}
-
-/// Appends `more` onto `dst`.
-inline void append_segments(std::vector<MemSegment>& dst,
-                            const std::vector<MemSegment>& more) {
-  dst.insert(dst.end(), more.begin(), more.end());
 }
 
 }  // namespace ndf

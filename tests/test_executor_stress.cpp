@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "nd/drs.hpp"
 #include "pmh/presets.hpp"
@@ -20,12 +21,14 @@ struct Recorder {
   // Per strand: execution count and (start, end) logical timestamps.
   std::vector<std::atomic<int>> runs;
   std::vector<std::uint64_t> start, end;
+  /// Strand node id -> strand index, filled as the strands are created.
+  std::unordered_map<NodeId, std::size_t> index_of;
 
   explicit Recorder(std::size_t n) : runs(n), start(n), end(n) {}
 };
 
 /// Builds a random tree of depth `depth`; returns node and registers
-/// strand indices in order.
+/// strand indices in creation order.
 NodeId random_tree(SpawnTree& t, Rng& rng, Recorder& rec,
                    std::vector<FireType>& types, int depth,
                    std::size_t& next_strand) {
@@ -33,11 +36,13 @@ NodeId random_tree(SpawnTree& t, Rng& rng, Recorder& rec,
     const std::size_t ix = next_strand++;
     NDF_CHECK(ix < rec.runs.size());
     Recorder* r = &rec;
-    return t.strand(1.0, 1.0, "s" + std::to_string(ix), [r, ix] {
+    const NodeId id = t.strand(1.0, 1.0, {}, [r, ix] {
       r->start[ix] = r->clock.fetch_add(1);
       r->runs[ix].fetch_add(1);
       r->end[ix] = r->clock.fetch_add(1);
     });
+    rec.index_of.emplace(id, ix);
+    return id;
   }
   const double kind = rng.uniform();
   NodeId a = random_tree(t, rng, rec, types, depth - 1, next_strand);
@@ -86,15 +91,12 @@ TEST_P(ExecutorStress, EveryStrandOnceAndOrdered) {
 
   // Happens-before: for every task-level arrow, all source-subtree strands
   // end before any sink-subtree strand starts.
-  auto strand_ix = [&](NodeId n) {
-    return std::stoul(t.node(n).label.substr(1));
-  };
   for (const TaskArrow& a : g.arrows()) {
     std::uint64_t src_end = 0, dst_start = ~0ULL;
     for (NodeId s : t.strands_under(a.from))
-      src_end = std::max(src_end, rec.end[strand_ix(s)]);
+      src_end = std::max(src_end, rec.end[rec.index_of.at(s)]);
     for (NodeId s : t.strands_under(a.to))
-      dst_start = std::min(dst_start, rec.start[strand_ix(s)]);
+      dst_start = std::min(dst_start, rec.start[rec.index_of.at(s)]);
     EXPECT_LT(src_end, dst_start)
         << "arrow " << a.from << "->" << a.to << " violated";
   }
@@ -175,15 +177,12 @@ TEST(ExecutorChaos, FuzzedSchedulesStayCorrect) {
     ASSERT_EQ(r.strands, next) << recipe;
     for (std::size_t i = 0; i < next; ++i)
       ASSERT_EQ(rec.runs[i].load(), 1) << "strand " << i << "\n" << recipe;
-    auto strand_ix = [&](NodeId n) {
-      return std::stoul(t.node(n).label.substr(1));
-    };
     for (const TaskArrow& a : g.arrows()) {
       std::uint64_t src_end = 0, dst_start = ~0ULL;
       for (NodeId s : t.strands_under(a.from))
-        src_end = std::max(src_end, rec.end[strand_ix(s)]);
+        src_end = std::max(src_end, rec.end[rec.index_of.at(s)]);
       for (NodeId s : t.strands_under(a.to))
-        dst_start = std::min(dst_start, rec.start[strand_ix(s)]);
+        dst_start = std::min(dst_start, rec.start[rec.index_of.at(s)]);
       ASSERT_LT(src_end, dst_start)
           << "arrow " << a.from << "->" << a.to << " violated\n" << recipe;
     }

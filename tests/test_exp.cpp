@@ -472,7 +472,7 @@ TEST(CondensedDag, UnitEffectsMatchTheWalk) {  // X4
           const NodeId n = stack.back();
           stack.pop_back();
           order.push_back(n);
-          for (NodeId c : w.tree().node(n).children) stack.push_back(c);
+          for (NodeId c : w.tree().children(n)) stack.push_back(c);
         }
         ref.clear();
         for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -776,9 +776,9 @@ TEST(Sweep, WorkerFailureSurfacesLoudlyAndDoesNotPoison) {  // X8
 
 TEST(Sweep, BuildFailureLeavesNothingBehindAtEveryJobs) {  // X8
   // The spec parses; only elaborating it fails (wavefront n is capped at
-  // 128), so the throw comes from the grid runner's build phase.
+  // 256), so the throw comes from the grid runner's build phase.
   exp::Scenario s;
-  s.workloads = exp::parse_workload_list("mm:n=8;gen:family=wavefront,n=256");
+  s.workloads = exp::parse_workload_list("mm:n=8;gen:family=wavefront,n=257");
   s.machines = {"flat8"};
   s.policies = {"sb", "ws"};
   for (const std::size_t jobs : {1u, 2u}) {
@@ -788,7 +788,7 @@ TEST(Sweep, BuildFailureLeavesNothingBehindAtEveryJobs) {  // X8
         sweep.run();
         FAIL() << "expected CheckError at jobs=" << jobs;
       } catch (const CheckError& e) {
-        EXPECT_NE(std::string(e.what()).find("[1, 128]"), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("[1, 256]"), std::string::npos)
             << e.what();
       }
       EXPECT_TRUE(sweep.results().empty()) << jobs << " jobs";

@@ -8,7 +8,8 @@
 //       pointers) and elaborated-DAG numbers all reproduce exactly
 //   G3  seeds matter: different sp seeds give different graphs
 //   G4  structured families hit their corner shapes exactly (chain span ==
-//       work, forkjoin/diamond widths, wavefront span == (2n-1)·work)
+//       work, forkjoin/diamond widths, wavefront span == (2n-1)·work), and
+//       a 256-wide wavefront keeps every grid arrow
 //   G5  spec parsing: defaults, label round-trips, loud unknown-family /
 //       inapplicable-key / bad-value failures
 //   G6  scheduling: serial-policy makespan equals total work (misses off)
@@ -16,6 +17,8 @@
 //       engine with jobs=1 / jobs=4 output byte-identical
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -117,8 +120,10 @@ std::string fingerprint(const gen::GenSpec& spec) {
   for (NodeId n = 0; n < tree.num_nodes(); ++n) {
     const SpawnNode& node = tree.node(n);
     os << n << ':' << node.work << '/' << node.size;
-    for (const MemSegment& s : node.reads) os << " r" << s.lo << '-' << s.hi;
-    for (const MemSegment& s : node.writes) os << " w" << s.lo << '-' << s.hi;
+    for (const MemSegment& s : tree.reads(n))
+      os << " r" << s.lo << '-' << s.hi;
+    for (const MemSegment& s : tree.writes(n))
+      os << " w" << s.lo << '-' << s.hi;
     os << '\n';
   }
   for (FireType t = 0; t < FireType(tree.rules().num_types()); ++t) {
@@ -181,6 +186,31 @@ TEST(Gen, StructuredFamiliesHitCornerShapes) {  // G4
   // The np elision serializes the whole grid.
   EXPECT_DOUBLE_EQ(compute_stats(elaborate(wf, {.np_mode = true})).span,
                    144 * W);
+}
+
+TEST(Gen, WideWavefrontHasEveryGridArrow) {  // G4
+  // Rows of 256 cells need pedigree indices past 255.
+  constexpr std::size_t n = 256;
+  const SpawnTree t = exp::build_workload_tree(
+      exp::parse_workload("gen:family=wavefront,n=" + std::to_string(n)));
+  const StrandGraph g = elaborate(t);
+  std::map<std::string, NodeId, std::less<>> cell;
+  for (NodeId s : t.strands_under(t.root()))
+    cell.emplace(std::string(t.label(s)), s);
+  ASSERT_EQ(cell.size(), n * n);
+  std::set<std::pair<NodeId, NodeId>> arrows;
+  for (const TaskArrow& a : g.arrows()) arrows.emplace(a.from, a.to);
+  const auto at = [&](std::size_t i, std::size_t j) {
+    return cell.at("wf" + std::to_string(i) + "," + std::to_string(j));
+  };
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i + 1 < n) missing += !arrows.count({at(i, j), at(i + 1, j)});
+      if (j + 1 < n) missing += !arrows.count({at(i, j), at(i, j + 1)});
+    }
+  EXPECT_EQ(missing, 0u);
+  EXPECT_DOUBLE_EQ(g.span(), double(2 * n - 1) * gen::GenSpec{}.work);
 }
 
 TEST(Gen, SpecParsingDefaultsAndRoundTrip) {  // G5

@@ -162,7 +162,7 @@ TEST_P(ModelProperty, DfsOrderIsValidSerialSchedule) {  // P8
     NodeId n = stack.back();
     stack.pop_back();
     pos[n] = counter++;
-    const auto& ch = t.node(n).children;
+    const auto ch = t.children(n);
     for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
   }
   for (const TaskArrow& a : g.arrows())

@@ -493,7 +493,7 @@ TEST(Executor, SpinBodiesAttachOnlyWhereMissing) {
   const std::size_t total = t.strand_count(t.root());
   std::atomic<int> ran{0};
   const NodeId some = t.strands_under(t.root())[0];
-  t.node(some).body = [&ran] { ran.fetch_add(1); };
+  t.set_body(some, [&ran] { ran.fetch_add(1); });
   EXPECT_EQ(attach_spin_bodies(t, 1.0), total - 1);
   EXPECT_EQ(attach_spin_bodies(t, 1.0), 0u);  // all covered now
   execute_parallel(elaborate(t), 2);

@@ -499,14 +499,14 @@ TEST(ServeEngine, PerJobMeasuredMissAttribution) {  // V7
 
 TEST(ServeEngine, BuildFailureLeavesNothingBehindAtEveryJobs) {  // V8
   // The spec parses; only elaborating it fails (wavefront n is capped at
-  // 128), so the throw comes from the grid runner's build phase.
+  // 256), so the throw comes from the grid runner's build phase.
   ServeScenario s = trace_scenario(
-      "0 a mm:n=8\n0 b gen:family=wavefront,n=256\n", "sb");
+      "0 a mm:n=8\n0 b gen:family=wavefront,n=257\n", "sb");
   s.policies = {"sb", "edf"};
   for (const std::size_t jobs : {1u, 2u}) {
     ServeSweep sweep(s, jobs);
     for (int attempt = 0; attempt < 2; ++attempt) {
-      EXPECT_NE(check_error_of([&] { sweep.run(); }).find("[1, 128]"),
+      EXPECT_NE(check_error_of([&] { sweep.run(); }).find("[1, 256]"),
                 std::string::npos)
           << jobs << " jobs";
       EXPECT_TRUE(sweep.results().empty()) << jobs << " jobs";

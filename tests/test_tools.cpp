@@ -145,8 +145,8 @@ TEST(Lower, PreservesKernelsAndFootprints) {
   // Execute the lowered tree serially; kernels must have been carried over.
   std::size_t bodies = 0;
   for (NodeId i = 0; i < np.num_nodes(); ++i)
-    if (np.node(i).kind == Kind::Strand && np.node(i).body) {
-      np.node(i).body();
+    if (np.is_strand(i) && np.body(i)) {
+      np.body(i)();
       ++bodies;
     }
   EXPECT_EQ(bodies, t.strand_count(t.root()));
