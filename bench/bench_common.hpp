@@ -30,6 +30,7 @@
 #include "support/args.hpp"
 #include "support/check.hpp"
 #include "support/fit.hpp"
+#include "support/report.hpp"
 #include "support/table.hpp"
 
 namespace ndf::bench {
@@ -113,6 +114,20 @@ inline void dump_dot_flag(const Args& args, const exp::WorkloadSpec& first) {
             << "\n";
 }
 
+/// `--<flag>=<path>` output: writes the file with `emit(stream)` when the
+/// flag was given. A path that cannot be opened or fully written throws,
+/// so the driver exits 2 rather than leave a silently truncated file.
+template <class Emit>
+void write_flag_file(const Args& args, const std::string& flag, Emit emit) {
+  const std::string path = args.get(flag, std::string());
+  if (path.empty()) return;
+  std::ofstream os(path);
+  NDF_CHECK_MSG(bool(os), "cannot write --" << flag << "=" << path);
+  emit(os);
+  os.close();
+  NDF_CHECK_MSG(!os.fail(), "failed writing --" << flag << "=" << path);
+}
+
 inline void print_fit(const std::string& label, std::vector<double> xs,
                       std::vector<double> ys) {
   const auto f = ndf::fit_loglog(xs, ys);
@@ -122,39 +137,13 @@ inline void print_fit(const std::string& label, std::vector<double> xs,
 
 namespace detail {
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 inline void write_cell(std::ostream& os, const Cell& cell) {
-  if (const auto* s = std::get_if<std::string>(&cell)) {
-    os << '"' << json_escape(*s) << '"';
-  } else if (const auto* i = std::get_if<long long>(&cell)) {
+  if (const auto* s = std::get_if<std::string>(&cell))
+    os << '"' << report::json_escape(*s) << '"';
+  else if (const auto* i = std::get_if<long long>(&cell))
     os << *i;
-  } else {
-    const double d = std::get<double>(cell);
-    if (std::isfinite(d))
-      os << d;
-    else
-      os << "null";  // JSON has no inf/nan
-  }
+  else
+    report::write_number(os, std::get<double>(cell));
 }
 
 }  // namespace detail
@@ -179,14 +168,14 @@ class Output {
     }
     // Round-trippable doubles — the whole point of the JSON mirror.
     os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"bench\": \"" << detail::json_escape(id_)
+    os << "{\n  \"bench\": \"" << report::json_escape(id_)
        << "\",\n  \"tables\": [";
     for (std::size_t t = 0; t < tables_.size(); ++t) {
       const Table& tab = tables_[t];
       os << (t ? ",\n" : "\n") << "    {\"title\": \""
-         << detail::json_escape(tab.title()) << "\", \"header\": [";
+         << report::json_escape(tab.title()) << "\", \"header\": [";
       for (std::size_t c = 0; c < tab.header().size(); ++c)
-        os << (c ? ", " : "") << '"' << detail::json_escape(tab.header()[c])
+        os << (c ? ", " : "") << '"' << report::json_escape(tab.header()[c])
            << '"';
       os << "], \"rows\": [";
       for (std::size_t r = 0; r < tab.rows().size(); ++r) {

@@ -12,16 +12,14 @@
 #include "nd/drs.hpp"
 #include "obs/export.hpp"
 #include "sched/registry.hpp"
-#include "sched/trace.hpp"
 
 using namespace ndf;
 
 namespace {
 
-/// Runs one elaboration and prints its utilization timeline. The unit
-/// trace comes from the structured event stream (obs::EventRecorder →
-/// unit_trace()). `keep`, when non-null, receives the run's recorder (the
-/// --trace-out export).
+/// Runs one elaboration and prints its utilization timeline, read from
+/// the recorder's unit events. `keep`, when non-null, receives the run's
+/// recorder (the --trace-out export).
 void timeline(bench::Output& out, const std::string& policy,
               const std::string& name, const StrandGraph& g, const Pmh& m,
               std::size_t buckets, obs::EventRecorder* keep = nullptr) {
@@ -29,9 +27,8 @@ void timeline(bench::Output& out, const std::string& policy,
   SchedOptions o;
   o.sink = &rec;
   const SchedStats s = run_scheduler(policy, g, m, o);
-  const Trace trace = rec.unit_trace();
-  const auto tl =
-      utilization_timeline(trace, m.num_processors(), s.makespan, buckets);
+  const auto tl = obs::utilization_timeline(rec, m.num_processors(),
+                                            s.makespan, buckets);
   Table t(name + " (makespan " + std::to_string((long long)s.makespan) +
           ", avg util " + std::to_string(s.utilization).substr(0, 5) + ")");
   t.set_header({"time_slice", "utilization", "bar"});

@@ -57,7 +57,6 @@
 //                                ETA) while the grid runs
 //   --list                       print workloads/machines/policies and exit
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -194,18 +193,12 @@ int run(int argc, char** argv) {
         << sweep.condensations_built() << " condensations built";
   serve::summary_table(title.str(), cells).print(std::cout);
 
-  const std::string json = args.get("json", std::string());
-  if (!json.empty()) {
-    std::ofstream os(json);
-    NDF_CHECK_MSG(bool(os), "cannot write --json=" << json);
+  bench::write_flag_file(args, "json", [&](std::ostream& os) {
     serve::write_serve_json(os, sweep.scenario().name, cells);
-  }
-  const std::string csv = args.get("csv", std::string());
-  if (!csv.empty()) {
-    std::ofstream os(csv);
-    NDF_CHECK_MSG(bool(os), "cannot write --csv=" << csv);
+  });
+  bench::write_flag_file(args, "csv", [&](std::ostream& os) {
     serve::write_serve_csv(os, cells);
-  }
+  });
 
   if (!trace_out.empty()) {
     obs::write_trace_file(trace_out, rec, sweep.scenario().name);

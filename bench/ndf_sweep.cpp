@@ -61,7 +61,6 @@
 //                                families and exit
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -200,18 +199,12 @@ int run(int argc, char** argv) {
         << " runs, " << sweep.condensations_built() << " condensations built";
   exp::results_table(title.str(), runs).print(std::cout);
 
-  const std::string json = args.get("json", std::string());
-  if (!json.empty()) {
-    std::ofstream os(json);
-    NDF_CHECK_MSG(bool(os), "cannot write --json=" << json);
+  bench::write_flag_file(args, "json", [&](std::ostream& os) {
     exp::write_sweep_json(os, sweep.scenario().name, runs);
-  }
-  const std::string csv = args.get("csv", std::string());
-  if (!csv.empty()) {
-    std::ofstream os(csv);
-    NDF_CHECK_MSG(bool(os), "cannot write --csv=" << csv);
+  });
+  bench::write_flag_file(args, "csv", [&](std::ostream& os) {
     exp::write_sweep_csv(os, runs);
-  }
+  });
 
   if (!trace_out.empty()) {
     obs::write_trace_file(trace_out, rec, sweep.scenario().name);

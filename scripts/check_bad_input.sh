@@ -6,7 +6,8 @@
 # unknown flag for the fixed-grid drivers (bench_pcc,
 # bench_parallelizability, bench_span: they take none), plus
 # a spec that parses but fails when its workload is built (wavefront n is
-# capped at 128), which is thrown from inside the grid runner, and the
+# capped at 256), which is thrown from inside the grid runner, a --json or
+# --csv file that cannot be fully written (/dev/full), and the
 # examples/inspect_dag binary (when the examples are built).
 #
 # Usage: scripts/check_bad_input.sh <build-dir>   (ctest: bad_input_exits_2)
@@ -46,6 +47,10 @@ expect_exit_2 "[1, 256]" ndf_sweep --workloads=gen:family=wavefront,n=257 \
     --machines=flat8
 expect_exit_2 "[1, 256]" ndf_serve --workloads=gen:family=wavefront,n=257 \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
+expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --smoke \
+    --json=/dev/full
+expect_exit_2 "failed writing --csv=/dev/full" ndf_serve --smoke \
+    --csv=/dev/full
 if [[ -x $BUILD_DIR/inspect_dag ]]; then
   expect_exit_2 "unknown flag --bogus" inspect_dag --bogus
   expect_exit_2 "flag --n is not an integer: abc" inspect_dag --n=abc

@@ -11,9 +11,11 @@ native  ndf_native --smoke, the 1-vs-4-thread scaling grid (which writes
         BENCH_native.json) and hard accounting-sanity bounds on it.
 
 Any byte difference fails and names the file; the timed runs are also
-the identity runs. The sweep gate's timed grids alternate --jobs=1 and
---jobs=4 runs over 5 rounds and compare medians, so a drift in host load
-hits both sides; it records each side's spread and the host's steal ticks.
+the identity runs. Every --json must parse and every --csv row must be as
+wide as its header, with one row per sweep run or served job. The sweep
+gate's timed grids alternate --jobs=1 and --jobs=4 runs over 5 rounds and
+compare medians, so a drift in host load hits both sides; it records each
+side's spread and the host's steal ticks.
 The serve gate keeps the best of 3 per side. A speedup below target only
 warns, as shared runners are too noisy for a hard latency gate:
 PERF_GATE_STRICT=1 makes it fail. STRESS_REPEAT sets the stress grid's
@@ -21,6 +23,7 @@ repeat axis (default 8, so its serial run takes >= 1 s, about 1.2 s on a
 4-vCPU Xeon; the strict nightly run uses 14; the binary's own grid is 7).
 """
 import argparse
+import csv
 import filecmp
 import json
 import os
@@ -83,7 +86,27 @@ class Gate:
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
             fail(f"{' '.join(cmd)} exited {proc.returncode}")
+        if outputs:
+            self.well_formed(p)
         return wall, usage.ru_maxrss
+
+    @staticmethod
+    def well_formed(p):
+        """The identity checks pass a deterministic renderer bug, so each
+        --json must parse and each --csv row be as wide as its header, one
+        row per sweep run or per served job."""
+        with open(f"{p}.json") as f:
+            doc = json.load(f)
+        with open(f"{p}.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        for i, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                fail(f"{p}.csv row {i}: {len(row)} fields, header has "
+                     f"{len(header)}")
+        want = (len(doc["runs"]) if "sweep" in doc
+                else sum(len(c["jobs"]) for c in doc["cells"]))
+        if len(rows) != want:
+            fail(f"{p}.csv has {len(rows)} rows, {p}.json {want} runs/jobs")
 
     def same_file(self, a, b, label):
         if filecmp.cmp(a, b, shallow=False):

@@ -1,291 +1,97 @@
 #include "exp/report.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <limits>
 #include <ostream>
+
+#include "support/report.hpp"
 
 namespace ndf::exp {
 
 namespace {
 
-std::size_t max_levels(const std::vector<RunPoint>& runs) {
-  std::size_t L = 0;
-  for (const RunPoint& r : runs) L = std::max(L, r.stats.misses.size());
-  return L;
+using report::Field;
+using report::Record;
+
+/// Every column and key of a run point, in table, CSV and JSON order.
+Record run_record(const RunPoint& r) {
+  const SchedStats& s = r.stats;
+  // Measured occupancy columns and keys exist only for runs that simulated
+  // it: a sweep without --misses emits exactly the legacy outputs.
+  const bool measured = !s.measured_misses.empty();
+  const std::span<const double> misses(s.misses);
+  return {
+      {"workload", "workload", "workload", r.workload.label()},
+      {"", "algo", "algo", r.workload.algo},
+      {"", "n", "n", std::uint64_t(r.workload.n)},
+      {"", "base", "base", std::uint64_t(r.workload.base)},
+      {"", "np", "np", r.workload.np},
+      {"machine", "machine", "machine", r.machine},
+      {"", "", "machine_desc", r.machine_desc},
+      {"policy", "policy", "policy", r.policy},
+      // Shown under a non-default model only, so all-default outputs keep
+      // the pre-registry shape; once shown, every row names its model.
+      {"cache", "cache", "cache", r.cache.label(), "", !r.cache.is_default()},
+      {"sigma", "sigma", "sigma", r.sigma},
+      {"alpha'", "alpha_prime", "alpha_prime", r.alpha_prime},
+      {"rep", "repeat", "repeat", std::uint64_t(r.repeat)},
+      {"", "seed", "seed", r.seed},
+      {"makespan", "makespan", "makespan", s.makespan, "stats"},
+      {"", "total_work", "total_work", s.total_work, "stats"},
+      {"miss_cost", "miss_cost", "miss_cost", s.miss_cost, "stats"},
+      {"util", "utilization", "utilization", s.utilization, "stats"},
+      {"", "atomic_units", "atomic_units", std::uint64_t(s.atomic_units),
+       "stats"},
+      // The table lists the model's misses before anchors and steals.
+      {"misses_L", "", "", misses},
+      {"anchors", "anchors", "anchors", std::uint64_t(s.anchors), "stats"},
+      {"steals", "steals", "steals", std::uint64_t(s.steals), "stats"},
+      {"", "misses_l", "misses", misses, "stats"},
+      {"comm_cost", "comm_cost", "comm_cost",
+       report::value_if(measured, s.comm_cost), "stats", measured},
+      {"Q_L", "q_l", "measured_misses",
+       std::span<const double>(s.measured_misses), "stats", measured},
+      // Write-back and contention only when the model billed them.
+      {"WB_L", "wb_l", "measured_writebacks",
+       std::span<const double>(s.measured_writebacks),
+       "stats", measured && !s.measured_writebacks.empty()},
+      {"", "", "contention_cost", s.contention_cost, "stats",
+       measured && r.cache.bw > 0.0},
+  };
 }
 
-/// Deepest measured-miss vector in the result set: 0 when nothing in the
-/// sweep simulated occupancy, in which case no measured column is emitted
-/// anywhere and the output is byte-identical to the pre-measurement
-/// emitters (the `--misses`-off compatibility guarantee).
-std::size_t max_measured_levels(const std::vector<RunPoint>& runs) {
-  std::size_t L = 0;
-  for (const RunPoint& r : runs)
-    L = std::max(L, r.stats.measured_misses.size());
-  return L;
-}
+/// Shapes the columns of an empty result set: a legacy sweep's header.
+const RunPoint blank_run;
 
-/// Whether any run measured under a non-default cache model. Gate for the
-/// `cache` column/key: an all-default sweep (including every legacy sweep,
-/// with or without --misses) emits byte-identical output to the
-/// pre-registry emitters.
-bool any_cache_model(const std::vector<RunPoint>& runs) {
-  for (const RunPoint& r : runs)
-    if (!r.cache.is_default()) return true;
-  return false;
-}
-
-/// Deepest write-back vector (non-empty only for wb > 0 models), gating the
-/// write-back columns the same way measured_misses gates the Q columns.
-std::size_t max_writeback_levels(const std::vector<RunPoint>& runs) {
-  std::size_t L = 0;
-  for (const RunPoint& r : runs)
-    L = std::max(L, r.stats.measured_writebacks.size());
-  return L;
-}
-
-}  // namespace
-
-namespace detail {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void write_number(std::ostream& os, double d) {
-  if (std::isfinite(d))
-    os << d;
-  else
-    os << "null";  // JSON has no inf/nan
-}
-
-/// RFC-4180 quoting — machine specs contain commas ("flat:p=8,m1=192").
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace detail
-
-namespace {
-using detail::csv_field;
-using detail::json_escape;
-using detail::write_number;
 }  // namespace
 
 Table results_table(const std::string& title,
                     const std::vector<RunPoint>& runs) {
-  const std::size_t L = max_levels(runs);
-  const std::size_t Q = max_measured_levels(runs);
-  const bool C = any_cache_model(runs);
-  const std::size_t W = max_writeback_levels(runs);
-  Table t(title);
-  std::vector<std::string> header{"workload", "machine", "policy", "sigma",
-                                  "alpha'",   "rep",     "makespan",
-                                  "miss_cost", "util"};
-  if (C) header.insert(header.begin() + 3, "cache");
-  for (std::size_t l = 1; l <= L; ++l)
-    header.push_back("misses_L" + std::to_string(l));
-  header.push_back("anchors");
-  header.push_back("steals");
-  // Measured-occupancy columns, only when the sweep measured anything
-  // (docs/metrics.md maps them to the paper's Q_i and communication cost).
-  if (Q > 0) {
-    header.push_back("comm_cost");
-    for (std::size_t l = 1; l <= Q; ++l)
-      header.push_back("Q_L" + std::to_string(l));
-  }
-  // Write-back columns, only when some model billed eviction traffic.
-  for (std::size_t l = 1; l <= W; ++l)
-    header.push_back("WB_L" + std::to_string(l));
-  t.set_header(std::move(header));
-  for (const RunPoint& r : runs) {
-    std::vector<Cell> row;
-    row.reserve(12 + L + (Q > 0 ? Q + 1 : 0) + W);
-    row.push_back(r.workload.label());
-    row.push_back(r.machine);
-    row.push_back(r.policy);
-    if (C) row.push_back(r.cache.label());
-    row.push_back(r.sigma);
-    row.push_back(r.alpha_prime);
-    row.push_back((long long)r.repeat);
-    row.push_back(r.stats.makespan);
-    row.push_back(r.stats.miss_cost);
-    row.push_back(r.stats.utilization);
-    for (std::size_t l = 0; l < L; ++l)
-      if (l < r.stats.misses.size())
-        row.push_back(r.stats.misses[l]);
-      else
-        row.push_back(std::string("-"));
-    row.push_back((long long)r.stats.anchors);
-    row.push_back((long long)r.stats.steals);
-    if (Q > 0) {
-      if (r.stats.measured_misses.empty())
-        row.push_back(std::string("-"));
-      else
-        row.push_back(r.stats.comm_cost);
-      for (std::size_t l = 0; l < Q; ++l)
-        if (l < r.stats.measured_misses.size())
-          row.push_back(r.stats.measured_misses[l]);
-        else
-          row.push_back(std::string("-"));
-    }
-    for (std::size_t l = 0; l < W; ++l)
-      if (l < r.stats.measured_writebacks.size())
-        row.push_back(r.stats.measured_writebacks[l]);
-      else
-        row.push_back(std::string("-"));
-    t.add_row(std::move(row));
-  }
-  return t;
+  std::vector<Record> rows;
+  for (const RunPoint& r : runs) rows.push_back(run_record(r));
+  return report::Columns(&Field::table, run_record(blank_run))
+      .table(title, rows);
 }
 
 void write_sweep_json(std::ostream& os, const std::string& name,
                       const std::vector<RunPoint>& runs) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\n  \"sweep\": \"" << json_escape(name) << "\",\n  \"runs\": [";
+  os << "{\n  \"sweep\": \"" << report::json_escape(name)
+     << "\",\n  \"runs\": [";
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunPoint& r = runs[i];
-    os << (i ? ",\n" : "\n") << "    {\"workload\": \""
-       << json_escape(r.workload.label()) << "\", \"algo\": \""
-       << json_escape(r.workload.algo) << "\", \"n\": " << r.workload.n
-       << ", \"base\": " << r.workload.base
-       << ", \"np\": " << (r.workload.np ? "true" : "false")
-       << ", \"machine\": \"" << json_escape(r.machine)
-       << "\", \"machine_desc\": \"" << json_escape(r.machine_desc)
-       << "\", \"policy\": \"" << json_escape(r.policy) << "\"";
-    // Cache-model key only for non-default models: all-default documents
-    // (every legacy sweep) stay byte-identical.
-    if (!r.cache.is_default())
-      os << ", \"cache\": \"" << json_escape(r.cache.label()) << "\"";
-    os << ", \"sigma\": ";
-    write_number(os, r.sigma);
-    os << ", \"alpha_prime\": ";
-    write_number(os, r.alpha_prime);
-    os << ", \"repeat\": " << r.repeat << ", \"seed\": " << r.seed
-       << ", \"stats\": {\"makespan\": ";
-    write_number(os, r.stats.makespan);
-    os << ", \"total_work\": ";
-    write_number(os, r.stats.total_work);
-    os << ", \"miss_cost\": ";
-    write_number(os, r.stats.miss_cost);
-    os << ", \"utilization\": ";
-    write_number(os, r.stats.utilization);
-    os << ", \"atomic_units\": " << r.stats.atomic_units
-       << ", \"anchors\": " << r.stats.anchors
-       << ", \"steals\": " << r.stats.steals << ", \"misses\": [";
-    for (std::size_t l = 0; l < r.stats.misses.size(); ++l) {
-      if (l) os << ", ";
-      write_number(os, r.stats.misses[l]);
-    }
-    os << "]";
-    // Measured occupancy, only for runs that simulated it — a sweep
-    // without --misses emits exactly the legacy document.
-    if (!r.stats.measured_misses.empty()) {
-      os << ", \"comm_cost\": ";
-      write_number(os, r.stats.comm_cost);
-      os << ", \"measured_misses\": [";
-      for (std::size_t l = 0; l < r.stats.measured_misses.size(); ++l) {
-        if (l) os << ", ";
-        write_number(os, r.stats.measured_misses[l]);
-      }
-      os << "]";
-      // Write-back / contention keys only when the model billed them —
-      // default-model documents keep the legacy shape.
-      if (!r.stats.measured_writebacks.empty()) {
-        os << ", \"measured_writebacks\": [";
-        for (std::size_t l = 0; l < r.stats.measured_writebacks.size(); ++l) {
-          if (l) os << ", ";
-          write_number(os, r.stats.measured_writebacks[l]);
-        }
-        os << "]";
-      }
-      if (r.cache.bw > 0.0) {
-        os << ", \"contention_cost\": ";
-        write_number(os, r.stats.contention_cost);
-      }
-    }
-    os << "}}";
+    os << (i ? ",\n" : "\n") << "    {";
+    report::write_json_fields(os, run_record(runs[i]));
+    os << "}";
   }
   os << "\n  ]\n}\n";
 }
 
 void write_sweep_csv(std::ostream& os, const std::vector<RunPoint>& runs) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  const std::size_t L = max_levels(runs);
-  const std::size_t Q = max_measured_levels(runs);
-  const bool C = any_cache_model(runs);
-  const std::size_t W = max_writeback_levels(runs);
-  os << "workload,algo,n,base,np,machine,policy,";
-  if (C) os << "cache,";
-  os << "sigma,alpha_prime,repeat,"
-        "seed,makespan,total_work,miss_cost,utilization,atomic_units,"
-        "anchors,steals";
-  for (std::size_t l = 1; l <= L; ++l) os << ",misses_l" << l;
-  if (Q > 0) {
-    os << ",comm_cost";
-    for (std::size_t l = 1; l <= Q; ++l) os << ",q_l" << l;
-  }
-  for (std::size_t l = 1; l <= W; ++l) os << ",wb_l" << l;
-  os << "\n";
-  for (const RunPoint& r : runs) {
-    os << csv_field(r.workload.label()) << ',' << r.workload.algo << ','
-       << r.workload.n << ',' << r.workload.base << ','
-       << (r.workload.np ? 1 : 0) << ',' << csv_field(r.machine) << ','
-       << r.policy << ',';
-    if (C) os << csv_field(r.cache.label()) << ',';
-    os << r.sigma << ','
-       << r.alpha_prime << ',' << r.repeat << ',' << r.seed << ','
-       << r.stats.makespan << ',' << r.stats.total_work << ','
-       << r.stats.miss_cost << ',' << r.stats.utilization << ','
-       << r.stats.atomic_units << ',' << r.stats.anchors << ','
-       << r.stats.steals;
-    for (std::size_t l = 0; l < L; ++l) {
-      os << ',';
-      if (l < r.stats.misses.size()) os << r.stats.misses[l];
-    }
-    if (Q > 0) {
-      os << ',';
-      if (!r.stats.measured_misses.empty()) os << r.stats.comm_cost;
-      for (std::size_t l = 0; l < Q; ++l) {
-        os << ',';
-        if (l < r.stats.measured_misses.size())
-          os << r.stats.measured_misses[l];
-      }
-    }
-    for (std::size_t l = 0; l < W; ++l) {
-      os << ',';
-      if (l < r.stats.measured_writebacks.size())
-        os << r.stats.measured_writebacks[l];
-    }
-    os << "\n";
-  }
+  report::Columns cols(&Field::csv, run_record(blank_run));
+  for (const RunPoint& r : runs) cols.fit(run_record(r));
+  cols.write_csv_header(os);
+  for (const RunPoint& r : runs) cols.write_csv_row(os, run_record(r));
 }
 
 }  // namespace ndf::exp

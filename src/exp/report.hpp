@@ -1,8 +1,9 @@
-// Consolidated sweep emitters: one stdout table, one JSON document, one
-// CSV — regardless of how many axes the scenario swept. The JSON is the
-// machine-readable trajectory artifact CI validates and uploads
-// (`ndf_sweep --smoke --json=...`); the CSV is the flat form for
-// spreadsheet/pandas post-processing.
+// Consolidated sweep emitters: one stdout table, one JSON document (the
+// trajectory artifact CI validates and uploads, `ndf_sweep --smoke
+// --json=...`) and one CSV (for spreadsheets/pandas), however many axes
+// the scenario swept. All three render one record per run point
+// (exp/report.cpp, the column list docs/metrics.md maps) through
+// support/report.hpp.
 #pragma once
 
 #include <iosfwd>
@@ -12,40 +13,19 @@
 
 namespace ndf::exp {
 
-/// Flat results table: one row per run point, miss columns padded to the
-/// deepest machine in the result set. Sweeps that simulated occupancy
-/// (Scenario::measure_misses) additionally get `comm_cost` and `Q_L<i>`
-/// measured-miss columns; without measurement the table is unchanged.
+/// One row per run point, miss columns padded to the deepest machine.
+/// Sweeps that simulated occupancy (Scenario::measure_misses) also get
+/// `comm_cost` and measured `Q_L<i>` columns.
 Table results_table(const std::string& title,
                     const std::vector<RunPoint>& runs);
 
 /// {"sweep": <name>, "runs": [{workload, machine, policy, sigma, ...,
-/// stats: {...}}, ...]} with round-trippable doubles. Measured runs carry
-/// "comm_cost" and "measured_misses" in their stats object; unmeasured
-/// runs emit the legacy document byte for byte (docs/metrics.md maps
-/// every key to its paper quantity).
+/// stats: {...}}, ...]} with round-trippable doubles. Only measured runs
+/// carry "comm_cost" and "measured_misses" in their stats.
 void write_sweep_json(std::ostream& os, const std::string& name,
                       const std::vector<RunPoint>& runs);
 
-/// One header row + one row per run point; misses padded like the table,
-/// with `comm_cost`/`q_l<i>` columns appended exactly when measured.
+/// A header row plus one row per run point, columns as in the table.
 void write_sweep_csv(std::ostream& os, const std::vector<RunPoint>& runs);
-
-// Shared emitter plumbing, reused by the service-mode emitters
-// (src/serve/report.cpp) so every JSON/CSV artifact escapes and formats
-// identically.
-namespace detail {
-
-/// Escapes quotes, backslashes and control characters for a JSON string.
-std::string json_escape(const std::string& s);
-
-/// Writes a round-trippable double; non-finite values become null (JSON
-/// has no inf/nan).
-void write_number(std::ostream& os, double d);
-
-/// RFC-4180 quoting — specs contain commas ("flat:p=8,m1=192").
-std::string csv_field(const std::string& s);
-
-}  // namespace detail
 
 }  // namespace ndf::exp

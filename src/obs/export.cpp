@@ -9,11 +9,13 @@
 #include <map>
 #include <vector>
 
-#include "sched/trace.hpp"
 #include "support/check.hpp"
+#include "support/report.hpp"
 
 namespace ndf::obs {
 namespace {
+
+using report::json_escape;
 
 // Shortest decimal that round-trips to the exact double — keeps the JSON
 // deterministic and the golden fixtures readable.
@@ -24,29 +26,6 @@ void write_num(std::ostream& os, double v) {
     if (std::strtod(buf, nullptr) == v) break;
   }
   os << buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 const char* cache_sub_name(std::uint8_t sub) {
@@ -334,7 +313,7 @@ void write_events_csv(std::ostream& os, const EventRecorder& rec) {
         write_num(os, e.t0);
         os << ",," << e.a << "," << e.b << ",,,,";
         if (e.c >= 0 && std::size_t(e.c) < labels.size())
-          os << labels[std::size_t(e.c)];
+          os << report::csv_field(labels[std::size_t(e.c)]);
         os << "\n";
         break;
       }
@@ -348,11 +327,11 @@ void write_trace_file(const std::string& path, const EventRecorder& rec,
   {
     // Debug-mode invariant: the exported unit timeline must be a valid
     // schedule (no processor runs two units at once, times ordered).
-    const Trace trace = rec.unit_trace();
     std::uint32_t nprocs = 0;
-    for (const TraceEvent& te : trace) nprocs = std::max(nprocs, te.proc + 1);
+    for (const Event& e : rec.events())
+      if (e.kind == Event::Kind::kUnit) nprocs = std::max(nprocs, e.a + 1);
     std::string msg;
-    NDF_CHECK_MSG(validate_trace(trace, nprocs, &msg),
+    NDF_CHECK_MSG(validate_trace(rec, nprocs, &msg),
                   "trace-out invariant violated: " << msg);
   }
 #endif

@@ -1,8 +1,8 @@
 // EventRecorder: the in-memory TraceSink behind `--trace-out`. Appends
 // every event to one flat tagged vector (emission order = simulation
-// order), interns job labels, and rebuilds the flat per-unit sched::Trace
-// from the unit events — SimCore emits one at every dispatch, so
-// unit_trace() holds one record per executed unit, in dispatch order.
+// order) and interns job labels. Its kUnit events are the unit trace —
+// SimCore emits one at every dispatch, so there is one per executed unit,
+// in dispatch order — which validate_trace and utilization_timeline read.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "obs/events.hpp"
-#include "sched/trace.hpp"
 
 namespace ndf::obs {
 
@@ -60,17 +59,26 @@ class EventRecorder final : public TraceSink {
     return counts_[std::size_t(kind)];
   }
 
-  /// The flat unit trace (one TraceEvent per executed unit), in emission
-  /// order — the input of validate_trace and utilization_timeline.
-  Trace unit_trace() const;
-
   /// Forgets all events and labels (capacity retained).
   void clear();
 
  private:
+  void push(const Event& e);
+
   std::vector<Event> events_;
   std::vector<std::string> labels_;
   std::size_t counts_[4] = {0, 0, 0, 0};
 };
+
+/// Fraction of processors busy in each of `buckets` equal slices of
+/// [0, makespan) under the unit events (clipped to the range).
+std::vector<double> utilization_timeline(const EventRecorder& rec,
+                                         std::size_t num_procs,
+                                         double makespan, std::size_t buckets);
+
+/// False (and *msg set) unless every unit event ends after it starts on an
+/// existing processor and no processor runs two units at once.
+bool validate_trace(const EventRecorder& rec, std::size_t num_procs,
+                    std::string* msg);
 
 }  // namespace ndf::obs

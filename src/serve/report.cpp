@@ -1,180 +1,129 @@
 #include "serve/report.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <limits>
 #include <ostream>
 
-#include "exp/report.hpp"
+#include "support/report.hpp"
 
 namespace ndf::serve {
 
 namespace {
 
-using exp::detail::csv_field;
-using exp::detail::json_escape;
-using exp::detail::write_number;
+using report::Field;
+using report::Record;
 
-/// Deepest measured-miss vector across all cells: 0 when nothing was
-/// measured, in which case no Q column appears anywhere and the output is
-/// byte-identical to a --misses-off run (exp/report.cpp's contract).
-std::size_t max_measured_levels(const std::vector<ServeCell>& cells) {
-  std::size_t L = 0;
-  for (const ServeCell& c : cells) {
-    L = std::max(L, c.summary.measured_misses.size());
-    for (const JobRecord& r : c.jobs)
-      L = std::max(L, r.measured_misses.size());
-  }
-  return L;
+Record operator+(Record a, const Record& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
 }
 
-/// Whether any cell served under a non-default cache model (ServeCell's
-/// cache label is empty for the default): gates the `cache` column so
-/// default-model output stays byte-identical to the pre-registry emitters.
-bool any_cache_model(const std::vector<ServeCell>& cells) {
-  for (const ServeCell& c : cells)
-    if (!c.cache.empty()) return true;
-  return false;
+/// The (machine, policy, cache, σ) a cell ran at.
+Record coords(const ServeCell& c) {
+  return {
+      {"machine", "machine", "machine", c.machine},
+      {"", "", "machine_desc", c.machine_desc},
+      {"policy", "policy", "policy", c.policy},
+      // Shown under a non-default model only (ServeCell's label is empty
+      // for the default); once shown, every row names its model.
+      {"cache", "cache", "cache", c.cache.empty() ? "lru" : c.cache, "",
+       !c.cache.empty()},
+      {"sigma", "sigma", "sigma", c.sigma},
+  };
 }
+
+/// Measured occupancy of a summary or a job, shown only when measured.
+Record measured(double comm_cost, const std::vector<double>& misses) {
+  const bool on = !misses.empty();
+  return {
+      {"comm_cost", "comm_cost", "comm_cost", report::value_if(on, comm_cost),
+       "", on},
+      {"Q_L", "q_l", "measured_misses", std::span<const double>(misses), "",
+       on},
+  };
+}
+
+Record summary(const ServeSummary& s) {
+  // The table orders fairness and tenants before the latencies, the JSON
+  // after them: one table-only and one JSON-only entry each.
+  return Record{
+             {"jobs", "", "completed", std::uint64_t(s.completed)},
+             {"horizon", "", "horizon", s.horizon},
+             {"thruput", "", "throughput", s.throughput},
+             {"util", "", "utilization", s.utilization},
+             {"fairness", "", "", s.fairness},
+             {"tenants", "", "", std::uint64_t(s.tenants)},
+             {"lat_mean", "", "mean", s.latency_mean, "latency"},
+             {"lat_p50", "", "p50", s.latency_p50, "latency"},
+             {"lat_p99", "", "p99", s.latency_p99, "latency"},
+             {"lat_p999", "", "p999", s.latency_p999, "latency"},
+             {"lat_max", "", "max", s.latency_max, "latency"},
+             {"", "", "tenants", std::uint64_t(s.tenants)},
+             {"", "", "fairness", s.fairness},  // inf (zero share): null
+             {"ddl", "", "with_deadline", std::uint64_t(s.with_deadline)},
+             {"ddl_miss", "", "deadline_misses",
+              std::uint64_t(s.deadline_misses)},
+         } +
+         measured(s.comm_cost, s.measured_misses);
+}
+
+Record job(const JobRecord& r) {
+  return Record{
+             {"", "job", "index", std::uint64_t(r.job.index)},
+             {"", "tenant", "tenant", r.job.tenant},
+             {"", "workload", "workload", r.job.workload.label()},
+             {"", "arrival", "arrival", r.job.arrival},
+             // No deadline: an empty CSV cell and a JSON null.
+             {"", "deadline", "deadline",
+              report::value_if(r.job.has_deadline(), r.job.deadline)},
+             {"", "start", "start", r.start},
+             {"", "completion", "completion", r.completion},
+             {"", "latency", "latency", r.latency},
+             {"", "service", "service", r.service},
+             {"", "utilization", "utilization", r.utilization},
+             {"", "deadline_met", "deadline_met", r.deadline_met},
+         } +
+         measured(r.comm_cost, r.measured_misses);
+}
+
+const ServeCell blank_cell;
+const JobRecord blank_job;
 
 }  // namespace
 
 Table summary_table(const std::string& title,
                     const std::vector<ServeCell>& cells) {
-  const std::size_t Q = max_measured_levels(cells);
-  const bool C = any_cache_model(cells);
-  Table t(title);
-  std::vector<std::string> header{
-      "machine",  "policy",   "sigma",    "jobs",     "horizon",
-      "thruput",  "util",     "fairness", "tenants",  "lat_mean",
-      "lat_p50",  "lat_p99",  "lat_p999", "lat_max",  "ddl",
-      "ddl_miss"};
-  if (C) header.insert(header.begin() + 2, "cache");
-  if (Q > 0) {
-    header.push_back("comm_cost");
-    for (std::size_t l = 1; l <= Q; ++l)
-      header.push_back("Q_L" + std::to_string(l));
-  }
-  t.set_header(std::move(header));
+  report::Columns cols(&Field::table,
+                       coords(blank_cell) + summary(blank_cell.summary));
+  std::vector<Record> rows;
   for (const ServeCell& c : cells) {
-    const ServeSummary& s = c.summary;
-    std::vector<Cell> row;
-    row.reserve(17 + (Q > 0 ? Q + 1 : 0));
-    row.push_back(c.machine);
-    row.push_back(c.policy);
-    if (C) row.push_back(c.cache.empty() ? std::string("lru") : c.cache);
-    row.push_back(c.sigma);
-    row.push_back((long long)s.completed);
-    row.push_back(s.horizon);
-    row.push_back(s.throughput);
-    row.push_back(s.utilization);
-    row.push_back(s.fairness);
-    row.push_back((long long)s.tenants);
-    row.push_back(s.latency_mean);
-    row.push_back(s.latency_p50);
-    row.push_back(s.latency_p99);
-    row.push_back(s.latency_p999);
-    row.push_back(s.latency_max);
-    row.push_back((long long)s.with_deadline);
-    row.push_back((long long)s.deadline_misses);
-    if (Q > 0) {
-      if (s.measured_misses.empty())
-        row.push_back(std::string("-"));
-      else
-        row.push_back(s.comm_cost);
-      for (std::size_t l = 0; l < Q; ++l)
-        if (l < s.measured_misses.size())
-          row.push_back(s.measured_misses[l]);
-        else
-          row.push_back(std::string("-"));
-    }
-    t.add_row(std::move(row));
+    rows.push_back(coords(c) + summary(c.summary));
+    // Q columns reach as deep as the deepest summary or job.
+    for (const JobRecord& r : c.jobs)
+      cols.fit(measured(r.comm_cost, r.measured_misses));
   }
-  return t;
+  return cols.table(title, rows);
 }
 
 void write_serve_json(std::ostream& os, const std::string& name,
                       const std::vector<ServeCell>& cells) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\n  \"serve\": \"" << json_escape(name) << "\",\n  \"cells\": [";
+  os << "{\n  \"serve\": \"" << report::json_escape(name)
+     << "\",\n  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ServeCell& c = cells[i];
-    const ServeSummary& s = c.summary;
-    os << (i ? ",\n" : "\n") << "    {\"machine\": \""
-       << json_escape(c.machine) << "\", \"machine_desc\": \""
-       << json_escape(c.machine_desc) << "\", \"policy\": \""
-       << json_escape(c.policy) << "\"";
-    // Cache-model key only under a non-default model (legacy byte-identity).
-    if (!c.cache.empty())
-      os << ", \"cache\": \"" << json_escape(c.cache) << "\"";
-    os << ", \"sigma\": ";
-    write_number(os, c.sigma);
-    os << ",\n     \"summary\": {\"completed\": " << s.completed
-       << ", \"horizon\": ";
-    write_number(os, s.horizon);
-    os << ", \"throughput\": ";
-    write_number(os, s.throughput);
-    os << ", \"utilization\": ";
-    write_number(os, s.utilization);
-    os << ", \"latency\": {\"mean\": ";
-    write_number(os, s.latency_mean);
-    os << ", \"p50\": ";
-    write_number(os, s.latency_p50);
-    os << ", \"p99\": ";
-    write_number(os, s.latency_p99);
-    os << ", \"p999\": ";
-    write_number(os, s.latency_p999);
-    os << ", \"max\": ";
-    write_number(os, s.latency_max);
-    os << "}, \"tenants\": " << s.tenants << ", \"fairness\": ";
-    write_number(os, s.fairness);  // inf (zero-share tenant) becomes null
-    os << ", \"with_deadline\": " << s.with_deadline
-       << ", \"deadline_misses\": " << s.deadline_misses;
-    if (!s.measured_misses.empty()) {
-      os << ", \"comm_cost\": ";
-      write_number(os, s.comm_cost);
-      os << ", \"measured_misses\": [";
-      for (std::size_t l = 0; l < s.measured_misses.size(); ++l) {
-        if (l) os << ", ";
-        write_number(os, s.measured_misses[l]);
-      }
-      os << "]";
-    }
+    os << (i ? ",\n" : "\n") << "    {";
+    report::write_json_fields(os, coords(c));
+    os << ",\n     \"summary\": {";
+    report::write_json_fields(os, summary(c.summary));
     // Streaming histograms (obs/metrics.hpp): latency and queue_wait per
     // cell, alongside — not replacing — the exact percentiles above.
     os << ", \"metrics\": ";
-    s.metrics.write_json(os);
+    c.summary.metrics.write_json(os);
     os << "},\n     \"jobs\": [";
     for (std::size_t j = 0; j < c.jobs.size(); ++j) {
-      const JobRecord& r = c.jobs[j];
-      os << (j ? ",\n       " : "\n       ") << "{\"index\": " << r.job.index
-         << ", \"tenant\": \"" << json_escape(r.job.tenant)
-         << "\", \"workload\": \"" << json_escape(r.job.workload.label())
-         << "\", \"arrival\": ";
-      write_number(os, r.job.arrival);
-      os << ", \"deadline\": ";
-      write_number(os, r.job.deadline);  // +inf (none) becomes null
-      os << ", \"start\": ";
-      write_number(os, r.start);
-      os << ", \"completion\": ";
-      write_number(os, r.completion);
-      os << ", \"latency\": ";
-      write_number(os, r.latency);
-      os << ", \"service\": ";
-      write_number(os, r.service);
-      os << ", \"utilization\": ";
-      write_number(os, r.utilization);
-      os << ", \"deadline_met\": " << (r.deadline_met ? "true" : "false");
-      if (!r.measured_misses.empty()) {
-        os << ", \"comm_cost\": ";
-        write_number(os, r.comm_cost);
-        os << ", \"measured_misses\": [";
-        for (std::size_t l = 0; l < r.measured_misses.size(); ++l) {
-          if (l) os << ", ";
-          write_number(os, r.measured_misses[l]);
-        }
-        os << "]";
-      }
+      os << (j ? ",\n       " : "\n       ") << "{";
+      report::write_json_fields(os, job(c.jobs[j]));
       os << "}";
     }
     os << (c.jobs.empty() ? "]}" : "\n     ]}");
@@ -184,38 +133,17 @@ void write_serve_json(std::ostream& os, const std::string& name,
 
 void write_serve_csv(std::ostream& os, const std::vector<ServeCell>& cells) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  const std::size_t Q = max_measured_levels(cells);
-  const bool C = any_cache_model(cells);
-  os << "machine,policy,";
-  if (C) os << "cache,";
-  os << "sigma,job,tenant,workload,arrival,deadline,start,"
-        "completion,latency,service,utilization,deadline_met";
-  if (Q > 0) {
-    os << ",comm_cost";
-    for (std::size_t l = 1; l <= Q; ++l) os << ",q_l" << l;
-  }
-  os << "\n";
+  report::Columns cols(&Field::csv, coords(blank_cell) + job(blank_job));
   for (const ServeCell& c : cells) {
-    for (const JobRecord& r : c.jobs) {
-      os << csv_field(c.machine) << ',' << c.policy << ',';
-      if (C) os << csv_field(c.cache.empty() ? "lru" : c.cache) << ',';
-      os << c.sigma << ','
-         << r.job.index << ',' << csv_field(r.job.tenant) << ','
-         << csv_field(r.job.workload.label()) << ',' << r.job.arrival << ',';
-      if (r.job.has_deadline()) os << r.job.deadline;  // empty = none
-      os << ',' << r.start << ',' << r.completion << ',' << r.latency << ','
-         << r.service << ',' << r.utilization << ','
-         << (r.deadline_met ? 1 : 0);
-      if (Q > 0) {
-        os << ',';
-        if (!r.measured_misses.empty()) os << r.comm_cost;
-        for (std::size_t l = 0; l < Q; ++l) {
-          os << ',';
-          if (l < r.measured_misses.size()) os << r.measured_misses[l];
-        }
-      }
-      os << "\n";
-    }
+    // A cell's model and summary add columns even when it ran no job.
+    cols.fit(coords(c) + summary(c.summary));
+    for (const JobRecord& r : c.jobs)
+      cols.fit(measured(r.comm_cost, r.measured_misses));
+  }
+  cols.write_csv_header(os);
+  for (const ServeCell& c : cells) {
+    const Record at = coords(c);
+    for (const JobRecord& r : c.jobs) cols.write_csv_row(os, at + job(r));
   }
 }
 

@@ -1,8 +1,9 @@
-// Service-mode emitters: one stdout table, one JSON document, one CSV per
-// serve run, mirroring the sweep emitters (exp/report.hpp). The JSON is
-// the artifact CI's serve gate validates and uploads (`ndf_serve
-// --json=BENCH_serve.json`); the CSV is the flat per-job form. Every
-// column is defined in docs/metrics.md ("Service-mode columns").
+// Service-mode emitters: one stdout table, one JSON document (the
+// artifact CI's serve gate validates and uploads, `ndf_serve
+// --json=BENCH_serve.json`) and one per-job CSV per serve run. A cell's
+// coordinates, its summary and one job are each one record
+// (serve/report.cpp) rendered by support/report.hpp; docs/metrics.md
+// defines every column ("Service-mode columns").
 #pragma once
 
 #include <iosfwd>

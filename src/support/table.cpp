@@ -66,25 +66,6 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&os](const std::vector<std::string>& r) {
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      if (i) os << ',';
-      os << r[i];
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) {
-    std::vector<std::string> r;
-    r.reserve(row.size());
-    for (const auto& c : row) r.push_back(cell_to_string(c));
-    emit(r);
-  }
-  return os.str();
-}
-
 void Table::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace ndf

@@ -20,11 +20,8 @@ class Table {
   void set_header(std::vector<std::string> header);
   void add_row(std::vector<Cell> row);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
-  /// Renders with padded columns; also usable as CSV via to_csv().
+  /// Renders with padded columns (CSV is support/report.hpp's job).
   std::string to_string() const;
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

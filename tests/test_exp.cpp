@@ -839,7 +839,7 @@ TEST(Report, EmittersProduceWellFormedOutput) {  // X6
   EXPECT_NE(c.find("\"flat:p=2,m1=768,c1=10\""), std::string::npos);
 
   const Table t = exp::results_table("unit", runs);
-  EXPECT_EQ(t.num_rows(), runs.size());
+  EXPECT_EQ(t.rows().size(), runs.size());
 }
 
 }  // namespace

@@ -31,7 +31,6 @@
 #include "obs/progress.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
-#include "sched/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/report.hpp"
 
@@ -152,10 +151,8 @@ TEST(Recorder, UnitTraceCoversEveryUnitAndIsValid) {  // O2
 
   EXPECT_EQ(rec.count(obs::Event::Kind::kUnit), s.atomic_units);
   EXPECT_EQ(rec.count(obs::Event::Kind::kWait), s.atomic_units);
-  const Trace from_events = rec.unit_trace();
-  EXPECT_EQ(from_events.size(), s.atomic_units);
   std::string msg;
-  EXPECT_TRUE(validate_trace(from_events, m.num_processors(), &msg)) << msg;
+  EXPECT_TRUE(obs::validate_trace(rec, m.num_processors(), &msg)) << msg;
 }
 
 TEST(Recorder, QueueWaitsAreCausal) {  // O2
@@ -458,6 +455,15 @@ TEST(ChromeTrace, CsvExportHasOneRowPerEvent) {  // O5
             "kind,sub,t0,t1,a,b,c,words,value,label");
   EXPECT_NE(csv.find("cache,hit,"), std::string::npos);
   EXPECT_NE(csv.find(",ten\n"), std::string::npos);
+}
+
+TEST(ChromeTrace, CsvExportQuotesLabelsWithCommas) {  // O5
+  obs::EventRecorder rec;
+  rec.on_job(obs::JobEvent::kAdmit, 0.0, 1, 0, "gen:family=sp,depth=4");
+  std::ostringstream os;
+  obs::write_events_csv(os, rec);
+  EXPECT_NE(os.str().find(",\"gen:family=sp,depth=4\"\n"), std::string::npos)
+      << os.str();
 }
 
 // ---------------------------------------------------------------- O7 ----

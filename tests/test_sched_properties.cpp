@@ -21,7 +21,6 @@
 #include "nd/drs.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
-#include "sched/trace.hpp"
 
 namespace ndf {
 namespace {
@@ -96,11 +95,11 @@ TEST_P(SchedProperty, TraceConsistentWithStats) {  // S4
   SchedOptions o;
   o.sink = &rec;
   const SchedStats s = run_scheduler("sb", g, m, o);
-  const Trace trace = rec.unit_trace();
   std::string msg;
-  ASSERT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
+  ASSERT_TRUE(obs::validate_trace(rec, m.num_processors(), &msg)) << msg;
   double busy = 0.0;
-  for (const TraceEvent& e : trace) busy += e.end - e.start;
+  for (const obs::Event& e : rec.events())
+    if (e.kind == obs::Event::Kind::kUnit) busy += e.t1 - e.t0;
   EXPECT_NEAR(busy / (s.makespan * double(m.num_processors())),
               s.utilization, 1e-9);
 }

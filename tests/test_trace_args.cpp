@@ -6,7 +6,6 @@
 #include "nd/drs.hpp"
 #include "obs/recorder.hpp"
 #include "sched/registry.hpp"
-#include "sched/trace.hpp"
 #include "support/args.hpp"
 #include "support/summary.hpp"
 
@@ -21,13 +20,13 @@ TEST(TraceTest, SbTraceIsValidAndCoversAllUnits) {
   SchedOptions opts;
   opts.sink = &rec;
   const SchedStats s = run_scheduler("sb", g, m, opts);
-  const Trace trace = rec.unit_trace();
-  EXPECT_EQ(trace.size(), s.atomic_units);
+  EXPECT_EQ(rec.count(obs::Event::Kind::kUnit), s.atomic_units);
   std::string msg;
-  EXPECT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
-  for (const TraceEvent& e : trace) {
-    EXPECT_GE(e.start, 0.0);
-    EXPECT_LE(e.end, s.makespan + 1e-9);
+  EXPECT_TRUE(obs::validate_trace(rec, m.num_processors(), &msg)) << msg;
+  for (const obs::Event& e : rec.events()) {
+    if (e.kind != obs::Event::Kind::kUnit) continue;
+    EXPECT_GE(e.t0, 0.0);
+    EXPECT_LE(e.t1, s.makespan + 1e-9);
   }
 }
 
@@ -39,17 +38,16 @@ TEST(TraceTest, WsTraceIsValid) {
   SchedOptions opts;
   opts.sink = &rec;
   const SchedStats s = run_scheduler("ws", g, m, opts);
-  const Trace trace = rec.unit_trace();
-  EXPECT_EQ(trace.size(), s.atomic_units);
+  EXPECT_EQ(rec.count(obs::Event::Kind::kUnit), s.atomic_units);
   std::string msg;
-  EXPECT_TRUE(validate_trace(trace, m.num_processors(), &msg)) << msg;
+  EXPECT_TRUE(obs::validate_trace(rec, m.num_processors(), &msg)) << msg;
 }
 
 TEST(TraceTest, UtilizationTimelineIntegratesToBusyFraction) {
-  Trace trace;
-  trace.push_back({0.0, 10.0, 0, 0});
-  trace.push_back({5.0, 10.0, 1, 1});
-  const auto tl = utilization_timeline(trace, 2, 10.0, 10);
+  obs::EventRecorder trace;
+  trace.on_unit(0.0, 10.0, 0, 0, 0);
+  trace.on_unit(5.0, 10.0, 1, 1, 1);
+  const auto tl = obs::utilization_timeline(trace, 2, 10.0, 10);
   ASSERT_EQ(tl.size(), 10u);
   EXPECT_NEAR(tl[0], 0.5, 1e-12);  // only proc 0 busy
   EXPECT_NEAR(tl[9], 1.0, 1e-12);  // both busy
@@ -59,38 +57,39 @@ TEST(TraceTest, UtilizationTimelineIntegratesToBusyFraction) {
 }
 
 TEST(TraceTest, ValidateCatchesOverlap) {
-  Trace trace;
-  trace.push_back({0.0, 10.0, 0, 0});
-  trace.push_back({5.0, 8.0, 0, 1});  // same proc, overlapping
+  obs::EventRecorder trace;
+  trace.on_unit(0.0, 10.0, 0, 0, 0);
+  trace.on_unit(5.0, 8.0, 0, 1, 1);  // same proc, overlapping
   std::string msg;
-  EXPECT_FALSE(validate_trace(trace, 1, &msg));
+  EXPECT_FALSE(obs::validate_trace(trace, 1, &msg));
   EXPECT_FALSE(msg.empty());
 }
 
 TEST(TraceTest, ValidateCatchesEndBeforeStart) {
-  Trace trace;
-  trace.push_back({10.0, 4.0, 0, 0});  // runs backwards
+  obs::EventRecorder trace;
+  trace.on_unit(10.0, 4.0, 0, 0, 0);  // runs backwards
   std::string msg;
-  EXPECT_FALSE(validate_trace(trace, 1, &msg));
+  EXPECT_FALSE(obs::validate_trace(trace, 1, &msg));
   EXPECT_EQ(msg, "malformed trace event");
 }
 
 TEST(TraceTest, ValidateCatchesOutOfRangeProcessor) {
-  Trace trace;
-  trace.push_back({0.0, 1.0, 4, 0});  // proc 4 on a 4-processor machine
+  obs::EventRecorder trace;
+  trace.on_unit(0.0, 1.0, 4, 0, 0);  // proc 4 on a 4-processor machine
   std::string msg;
-  EXPECT_FALSE(validate_trace(trace, 4, &msg));
+  EXPECT_FALSE(obs::validate_trace(trace, 4, &msg));
   EXPECT_EQ(msg, "malformed trace event");
   // The same event is fine on a machine that has the processor.
-  EXPECT_TRUE(validate_trace(trace, 5, &msg));
+  EXPECT_TRUE(obs::validate_trace(trace, 5, &msg));
 }
 
 TEST(TraceTest, BackToBackUnitsOnOneProcessorAreValid) {
-  Trace trace;
-  trace.push_back({0.0, 5.0, 0, 0});
-  trace.push_back({5.0, 9.0, 0, 1});  // touching intervals don't overlap
+  obs::EventRecorder trace;
+  trace.on_unit(0.0, 5.0, 0, 0, 0);
+  trace.on_unit(5.0, 9.0, 0, 1, 1);  // touching intervals don't overlap
+  trace.on_queue_wait(0.0, 5.0, 0, 1);  // a wait is not a unit
   std::string msg;
-  EXPECT_TRUE(validate_trace(trace, 1, &msg)) << msg;
+  EXPECT_TRUE(obs::validate_trace(trace, 1, &msg)) << msg;
 }
 
 TEST(ArgsTest, ParsesTypedFlags) {
