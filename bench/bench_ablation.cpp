@@ -111,6 +111,7 @@ int run(int argc, char** argv) {
                "sigma near 1 overcommits caches without miss benefit in "
                "this model; alpha' mainly shifts anchoring granularity; "
                "larger bases cut strand counts but coarsen the DAG.\n";
+  out.write_json();
   return 0;
 }
 

@@ -172,6 +172,7 @@ int run(int argc, char** argv) {
     std::cout << "ws: exceeded Q* on " << ws_exceeds
               << " level-cells (no capacity reservation, none expected to "
                  "hold)\n";
+  out.write_json();
   if (sb_violations) {
     std::cerr << "FAIL: space-bounded measured misses exceeded the "
                  "Theorem 1 bound\n";

@@ -5,7 +5,8 @@
 //
 // Passing `--json=<path>` to any bench that routes its tables through
 // bench::Output mirrors every table into a machine-readable JSON file
-// (e.g. BENCH_sb_vs_ws.json) for the perf trajectory.
+// (e.g. BENCH_sb_vs_ws.json) for the perf trajectory; a mirror that cannot
+// be written exits 2 like any other bad input.
 //
 // Every driver's main() goes through bench::run_main, so a bad flag or a
 // bad spec exits 2 with one `<driver>: <message>` line on stderr.
@@ -149,58 +150,58 @@ inline void write_cell(std::ostream& os, const Cell& cell) {
 }  // namespace detail
 
 /// Routes bench tables to stdout and, when `--json=<path>` was given,
-/// mirrors them into a JSON file on destruction:
+/// mirrors them into a JSON file when the driver calls write_json():
 ///   {"bench": "<id>", "tables": [{"title", "header", "rows"}, ...]}
+/// The write goes through write_flag_file, so a path that cannot be opened
+/// or fully written makes the driver exit 2 (run_main).
 class Output {
  public:
   Output(std::string bench_id, const Args& args)
-      : id_(std::move(bench_id)), path_(args.get("json", std::string())) {}
+      : id_(std::move(bench_id)), args_(args) {}
 
   Output(const Output&) = delete;
   Output& operator=(const Output&) = delete;
 
-  ~Output() {
-    if (path_.empty()) return;
-    std::ofstream os(path_);
-    if (!os) {
-      std::cerr << "bench: cannot write --json=" << path_ << "\n";
-      return;
-    }
-    // Round-trippable doubles — the whole point of the JSON mirror.
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"bench\": \"" << report::json_escape(id_)
-       << "\",\n  \"tables\": [";
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-      const Table& tab = tables_[t];
-      os << (t ? ",\n" : "\n") << "    {\"title\": \""
-         << report::json_escape(tab.title()) << "\", \"header\": [";
-      for (std::size_t c = 0; c < tab.header().size(); ++c)
-        os << (c ? ", " : "") << '"' << report::json_escape(tab.header()[c])
-           << '"';
-      os << "], \"rows\": [";
-      for (std::size_t r = 0; r < tab.rows().size(); ++r) {
-        os << (r ? ", " : "") << '[';
-        const auto& row = tab.rows()[r];
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          if (c) os << ", ";
-          detail::write_cell(os, row[c]);
-        }
-        os << ']';
-      }
-      os << "]}";
-    }
-    os << "\n  ]\n}\n";
-  }
-
   /// Prints the table and records it for the JSON mirror.
   void emit(const Table& t) {
     t.print(std::cout);
-    if (!path_.empty()) tables_.push_back(t);
+    if (args_.has("json")) tables_.push_back(t);
+  }
+
+  /// Writes the JSON mirror of every emitted table (no-op without
+  /// `--json`). Call it once, after the last emit().
+  void write_json() const {
+    write_flag_file(args_, "json", [&](std::ostream& os) {
+      // Round-trippable doubles — the whole point of the JSON mirror.
+      os << std::setprecision(std::numeric_limits<double>::max_digits10);
+      os << "{\n  \"bench\": \"" << report::json_escape(id_)
+         << "\",\n  \"tables\": [";
+      for (std::size_t t = 0; t < tables_.size(); ++t) {
+        const Table& tab = tables_[t];
+        os << (t ? ",\n" : "\n") << "    {\"title\": \""
+           << report::json_escape(tab.title()) << "\", \"header\": [";
+        for (std::size_t c = 0; c < tab.header().size(); ++c)
+          os << (c ? ", " : "") << '"'
+             << report::json_escape(tab.header()[c]) << '"';
+        os << "], \"rows\": [";
+        for (std::size_t r = 0; r < tab.rows().size(); ++r) {
+          os << (r ? ", " : "") << '[';
+          const auto& row = tab.rows()[r];
+          for (std::size_t c = 0; c < row.size(); ++c) {
+            if (c) os << ", ";
+            detail::write_cell(os, row[c]);
+          }
+          os << ']';
+        }
+        os << "]}";
+      }
+      os << "\n  ]\n}\n";
+    });
   }
 
  private:
   std::string id_;
-  std::string path_;
+  const Args& args_;
   std::vector<Table> tables_;
 };
 

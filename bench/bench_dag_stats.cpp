@@ -58,6 +58,7 @@ int run(int argc, char** argv) {
     std::cout << "Expected shape: par_ND >> par_NP for TRS/CHO/LCS/GOTOH/"
                  "FW1D (the paper's algorithms); MM similar in both "
                  "models.\n";
+  out.write_json();
   return 0;
 }
 

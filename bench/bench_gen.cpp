@@ -129,6 +129,7 @@ int run(int argc, char** argv) {
   bool all_ok = true;
   for (const exp::WorkloadSpec& s : specs) all_ok &= add_row(t, s);
   out.emit(t);
+  out.write_json();
   if (!all_ok) {
     std::cerr << "bench_gen: at least one workload failed legality checks\n";
     return 1;

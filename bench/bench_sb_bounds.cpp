@@ -62,6 +62,7 @@ int run(int argc, char** argv) {
   run(out, policy, "TRS(2-tier)", make_trs_tree, 64, deep);
   std::cout << "Expected shape: miss ratios <= 1 (Thm 1 holds); makespan "
                "ratio a small constant (the vh overhead).\n";
+  out.write_json();
   return 0;
 }
 

@@ -93,6 +93,7 @@ int run(int argc, char** argv) {
   std::cout << "Expected shape: eff_ND stays near 1 to higher p than "
                "eff_NP; the gap widens with p (who wins: ND, by a growing "
                "factor).\n";
+  out.write_json();
   return 0;
 }
 

@@ -109,6 +109,7 @@ int run(int argc, char** argv) {
   compare(out, policies, "MM(2-tier)", "mm:n=64", "deep4x4", jobs, misses);
   std::cout << "Expected shape: WS/SB miss ratio > 1 (often substantially); "
                "makespan follows when miss costs dominate.\n";
+  out.write_json();
   return 0;
 }
 

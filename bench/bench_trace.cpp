@@ -79,6 +79,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "trace: wrote %zu events to %s\n",
                  first.events().size(), trace_out.c_str());
   }
+  out.write_json();
   return 0;
 }
 

@@ -265,6 +265,7 @@ int run(int argc, char** argv) {
   }
   out.emit(scaling);
   out.emit(workers_tab);
+  out.write_json();
   return 0;
 }
 

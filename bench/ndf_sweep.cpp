@@ -18,7 +18,10 @@
 //   --sched=<name,name,...>      registry policies (default all four)
 //   --sigma=<x,x,...>            dilation values in (0,1), default 1/3
 //   --alpha=<x,x,...>            SB allocation exponents, default 1.0
-//   --repeat=<k> --seed=<s>      seed axis: seeds s..s+k-1 (ws variance)
+//   --repeat=<k> --seed=<s>      seed axis: seeds s..s+k-1 (ws variance);
+//                                a seed-free policy (sb, greedy, edf,
+//                                serial) is simulated once and its row
+//                                repeated k times
 //   --jobs=<n>                   grid workers: 0 = hardware concurrency
 //                                (default), 1 = the calling thread; output
 //                                is byte-identical at every n
@@ -44,8 +47,9 @@
 //                                axes overridable as usual (CI trims with
 //                                --repeat=2)
 //   --phase-times                print per-phase wall-clock (workload build
-//                                / condensation / cell execution / emit) and
-//                                per-worker busy/task accounting to stderr,
+//                                / condensation / cell execution / emit),
+//                                the distinct-run count and per-worker
+//                                busy/task accounting to stderr,
 //                                so a perf regression is attributable
 //                                without a profiler
 //   --trace-out=<path>           record grid cell 0's full event stream
@@ -135,7 +139,8 @@ int run(int argc, char** argv) {
   if (stress) {
     // Deliberately big: deep/wide generated DAGs the smoke grid never
     // touches, across three machine shapes — 6 workloads × 2 σ × 3
-    // machines × 4 policies × 7 repeats = 1008 cells, a few seconds of
+    // machines × 4 policies × 7 repeats = 1008 cells (360 distinct runs:
+    // only ws's repeats are simulated separately), under a second of
     // serial wall-clock. This is the grid the perf gate and scaling
     // measurements use when thread startup must be noise, not signal.
     s.name = "stress";
@@ -227,6 +232,8 @@ int run(int argc, char** argv) {
                  "cell-execution %.3fs, emit %.3fs\n",
                  pt.workload_build, pt.condensation, pt.cell_execution,
                  emit_s);
+    std::fprintf(stderr, "phase-times: runs %zu of %zu cells\n",
+                 sweep.runs(), runs.size());
     // Pool self-profiling (empty at --jobs=1: no pool): busy seconds and
     // task count per worker expose imbalance the phase totals hide.
     const auto& ws = sweep.worker_stats();

@@ -7,7 +7,8 @@
 # bench_parallelizability, bench_span: they take none), plus
 # a spec that parses but fails when its workload is built (wavefront n is
 # capped at 256), which is thrown from inside the grid runner, a --json or
-# --csv file that cannot be fully written (/dev/full), and the
+# --csv file that cannot be fully written (/dev/full; a bench driver's
+# table mirror as well as the sweep and serve emitters), and the
 # examples/inspect_dag binary (when the examples are built).
 #
 # Usage: scripts/check_bad_input.sh <build-dir>   (ctest: bad_input_exits_2)
@@ -51,6 +52,8 @@ expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --smoke \
     --json=/dev/full
 expect_exit_2 "failed writing --csv=/dev/full" ndf_serve --smoke \
     --csv=/dev/full
+expect_exit_2 "failed writing --json=/dev/full" bench_trace --n=32 \
+    --json=/dev/full
 if [[ -x $BUILD_DIR/inspect_dag ]]; then
   expect_exit_2 "unknown flag --bogus" inspect_dag --bogus
   expect_exit_2 "flag --n is not an integer: abc" inspect_dag --n=abc

@@ -18,9 +18,12 @@ compare medians, so a drift in host load hits both sides; it records each
 side's spread and the host's steal ticks.
 The serve gate keeps the best of 3 per side. A speedup below target only
 warns, as shared runners are too noisy for a hard latency gate:
-PERF_GATE_STRICT=1 makes it fail. STRESS_REPEAT sets the stress grid's
-repeat axis (default 8, so its serial run takes >= 1 s, about 1.2 s on a
-4-vCPU Xeon; the strict nightly run uses 14; the binary's own grid is 7).
+PERF_GATE_STRICT=1 makes it fail. The stress grid runs the binary's
+--stress workloads on seven machines (STRESS_MACHINES; the binary's own
+grid has three) and STRESS_REPEAT sets its repeat axis (default 8, so its
+serial run takes >= 1 s, about 1.2 s on a 4-vCPU Xeon; the strict nightly
+run uses 14). Repeats scale only the seeded ws cells: the sweep simulates
+a seed-free policy's repeats once.
 """
 import argparse
 import csv
@@ -35,15 +38,22 @@ import time
 
 JOBS = 4  # --jobs / --threads of every parallel run
 MIN_SPEEDUP = {"sweep": 2.5, "serve": 1.5, "native": 1.5}
-# The timed sweep grid takes >= 1 s serially (about 1.1 s on a 4-vCPU
-# Xeon, of which the one-workload build phase is about 0.25 s), so thread
-# startup and that serial phase do not dominate its speedup. Cheaper cells
-# need more repeats to keep it there.
+# The timed sweep grid takes >= 1 s serially (about 1.2 s on a 4-vCPU
+# Xeon, of which the workload build and condensation phases take about
+# 0.15 s), so thread startup and those phases do not dominate its speedup.
+# Repeats scale only the ws cells, so cheaper cells need more workloads or
+# machines to keep it there.
 GATE_GRID = ("--name=perf-gate",
-             "--workloads=mm:n=128;lcs:n=1024;cholesky:n=128;"
-             "gen:family=sp,depth=8,fan=4,seed=7;gen:family=wavefront,n=32",
-             "--machines=flat16;deep4x4", "--sched=sb,ws,greedy,serial",
-             "--sigma=0.33", "--repeat=16")
+             "--workloads=mm:n=128;lcs:n=1024;cholesky:n=128;trs:n=128;"
+             "lu:n=128;gen:family=sp,depth=8,fan=4,seed=7;"
+             "gen:family=sp,depth=9,fan=4,seed=11;gen:family=wavefront,n=32;"
+             "gen:family=wavefront,n=96;gen:family=forkjoin,depth=64,fan=48;"
+             "gen:family=diamond,depth=128,fan=24;gen:family=chain,n=4096",
+             "--machines=flat16;deep4x4;deep2x4;twotier:s=2,c=8;"
+             "twotier:s=4,c=4",
+             "--sched=sb,ws,greedy,serial", "--sigma=0.33", "--repeat=8")
+STRESS_MACHINES = ("--machines=flat16;deep4x4;deep2x4;twotier:s=2,c=8;flat8;"
+                   "twotier:s=4,c=4;twotier:s=8,c=2")
 
 
 def fail(msg, detail=""):
@@ -262,7 +272,8 @@ def gate_sweep(g):
     print(*lines[-2:], "OK: Theorem 1 held for all space-bounded runs "
           "(BENCH_cache_miss.json)", sep="\n")
 
-    stress = ("--stress", "--repeat=" + os.environ.get("STRESS_REPEAT", "8"))
+    stress = ("--stress", STRESS_MACHINES,
+              "--repeat=" + os.environ.get("STRESS_REPEAT", "8"))
     steal0 = steal_ticks()
     recs = {"gate": g.pair("ndf_sweep", "gate", "perf grid", *GATE_GRID,
                            reps=SWEEP_ROUNDS, median=True),

@@ -96,6 +96,37 @@ CondensationPlan plan_condensations(const Scenario& s,
   return plan;
 }
 
+RunPlan plan_runs(const Scenario& s, const std::vector<GridPoint>& grid) {
+  std::vector<char> seeded(s.policies.size());
+  for (std::size_t p = 0; p < s.policies.size(); ++p)
+    seeded[p] = scheduler_seeded(s.policies[p]);
+
+  // Dense memo over every axis but the repeat: a seed-free cell looks up
+  // the run of its (workload, σ, machine, cache, α', policy) point.
+  constexpr std::size_t kNone = std::size_t(-1);
+  std::vector<std::size_t> memo(grid_size(s) / s.repeats, kNone);
+
+  RunPlan plan;
+  plan.run_of.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const GridPoint& g = grid[i];
+    std::size_t run = plan.cell.size();
+    if (!seeded[g.policy]) {
+      std::size_t point = g.workload;
+      point = point * s.sigmas.size() + g.sigma;
+      point = point * s.machines.size() + g.machine;
+      point = point * s.cache_models.size() + g.cache;
+      point = point * s.alpha_primes.size() + g.alpha;
+      point = point * s.policies.size() + g.policy;
+      if (memo[point] == kNone) memo[point] = run;
+      run = memo[point];
+    }
+    if (run == plan.cell.size()) plan.cell.push_back(i);
+    plan.run_of.push_back(run);
+  }
+  return plan;
+}
+
 SchedOptions point_options(const Scenario& s, const GridPoint& g) {
   SchedOptions o;
   o.sigma = s.sigmas[g.sigma];

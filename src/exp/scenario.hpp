@@ -102,6 +102,21 @@ CondensationPlan plan_condensations(const Scenario& s,
                                     const std::vector<GridPoint>& grid,
                                     const std::vector<Pmh>& machines);
 
+/// The simulations a grid needs: one run per distinct (workload, σ,
+/// machine, cache model, α', policy) point, times the repeat only when the
+/// policy is seeded (SchedulerInfo::seeded). A seed-free policy's repeats
+/// differ only in a seed it never reads, so they are one run whose stats
+/// every repeat row takes. Runs are in first-use grid order: cell 0 is
+/// always run 0 (the `--trace-out` cell), and runs sharing a condensation
+/// stay as contiguous as their cells are in the grid.
+struct RunPlan {
+  std::vector<std::size_t> cell;    ///< cell[k] = grid index run k simulates
+  std::vector<std::size_t> run_of;  ///< run_of[i] = run index of grid[i]
+};
+
+/// `grid` must be expand_grid(s) of a validated scenario.
+RunPlan plan_runs(const Scenario& s, const std::vector<GridPoint>& grid);
+
 /// One executed grid point: the resolved coordinates plus the run's stats.
 struct RunPoint {
   WorkloadSpec workload;

@@ -29,8 +29,11 @@ SpawnTree make_chain_tree(std::size_t n, double work) {
   SyntheticMem mem;
   std::vector<NodeId> strands;
   strands.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    strands.push_back(t.strand(work, work, "c" + std::to_string(i)));
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string label = "c";
+    label += std::to_string(i);
+    strands.push_back(t.strand(work, work, label));
+  }
   for (std::size_t i = 0; i + 1 < n; ++i)
     mem.link(t, strands[i], strands[i + 1]);
   t.set_root(n == 1 ? strands[0] : t.seq(strands, double(n) * work, "chain"));
@@ -72,7 +75,8 @@ SpawnTree make_diamond_tree(std::size_t depth, std::size_t fan, double work) {
   std::vector<NodeId> diamonds;
   NodeId prev_sink = kNoNode;
   for (std::size_t d = 0; d < depth; ++d) {
-    const std::string tag = "d" + std::to_string(d);
+    std::string tag = "d";
+    tag += std::to_string(d);
     const NodeId src = t.strand(work, work, tag + ".src");
     std::vector<NodeId> mids;
     const NodeId mid = stage(t, fan, work, tag + ".mid", &mids);

@@ -78,8 +78,9 @@ class SpBuilder {
     const Sub left = wrap(ch, 0, split);
     const Sub right = wrap(ch, split, k);
 
-    const FireType type =
-        t_.rules().add_type("X" + std::to_string(next_type_++));
+    std::string name = "X";
+    name += std::to_string(next_type_++);
+    const FireType type = t_.rules().add_type(std::move(name));
     const std::size_t nrules = 1 + rng_.below(3);
     for (std::size_t r = 0; r < nrules; ++r) {
       auto [src_ped, src_node] = random_walk(left.id);

@@ -9,9 +9,12 @@ namespace {
 std::string node_label(const SpawnTree& t, NodeId n) {
   const SpawnNode& node = t.node(n);
   switch (node.kind) {
-    case Kind::Strand:
-      return t.label(n).empty() ? "s" + std::to_string(n)
-                                : std::string(t.label(n));
+    case Kind::Strand: {
+      if (!t.label(n).empty()) return std::string(t.label(n));
+      std::string name = "s";
+      name += std::to_string(n);
+      return name;
+    }
     case Kind::Seq:
       return ";";
     case Kind::Par:

@@ -123,10 +123,13 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
   }
   if (!cache_tid.empty()) {
     meta(em, "process_name", 1, -1, "caches");
-    for (const auto& [key, tid] : cache_tid)
-      meta(em, "thread_name", 1, tid,
-           "L" + std::to_string(key.first) + " cache " +
-               std::to_string(key.second));
+    for (const auto& [key, tid] : cache_tid) {
+      std::string track = "L";
+      track += std::to_string(key.first);
+      track += " cache ";
+      track += std::to_string(key.second);
+      meta(em, "thread_name", 1, tid, track);
+    }
   }
   if (!tenants.empty()) {
     meta(em, "process_name", 2, -1, "service");

@@ -91,7 +91,8 @@ void register_greedy_scheduler() {
       "centralized Brent-style greedy: global FIFO, Eq. (22) miss charge",
       [](const SchedOptions&) -> std::unique_ptr<Scheduler> {
         return std::make_unique<GreedyScheduler>("greedy");
-      });
+      },
+      /*deadline_aware=*/false, /*seeded=*/false);
   register_scheduler(
       "edf",
       "deadline-aware: EDF-over-jobs admission in service mode; greedy "
@@ -99,7 +100,7 @@ void register_greedy_scheduler() {
       [](const SchedOptions&) -> std::unique_ptr<Scheduler> {
         return std::make_unique<GreedyScheduler>("edf");
       },
-      /*deadline_aware=*/true);
+      /*deadline_aware=*/true, /*seeded=*/false);
 }
 }  // namespace detail
 

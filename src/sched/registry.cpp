@@ -22,6 +22,7 @@ struct Entry {
   std::string description;
   SchedulerFactory factory;
   bool deadline_aware = false;
+  bool seeded = true;
 };
 
 std::map<std::string, Entry>& table() {
@@ -53,15 +54,25 @@ std::string known_names() {
   return s.empty() ? "<none>" : s;
 }
 
+const Entry& entry_of(const std::string& name) {
+  ensure_builtins();
+  const auto it = table().find(name);
+  NDF_CHECK_MSG(it != table().end(), "unknown scheduler '"
+                                         << name << "' (registered: "
+                                         << known_names() << ")");
+  return it->second;
+}
+
 }  // namespace
 
 bool register_scheduler(const std::string& name,
                         const std::string& description,
                         SchedulerFactory factory,
-                        bool deadline_aware) {
+                        bool deadline_aware, bool seeded) {
   NDF_CHECK_MSG(!name.empty() && factory, "bad scheduler registration");
   return table()
-      .emplace(name, Entry{description, std::move(factory), deadline_aware})
+      .emplace(name, Entry{description, std::move(factory), deadline_aware,
+                           seeded})
       .second;
 }
 
@@ -71,30 +82,25 @@ bool scheduler_registered(const std::string& name) {
 }
 
 bool scheduler_deadline_aware(const std::string& name) {
-  ensure_builtins();
-  const auto it = table().find(name);
-  NDF_CHECK_MSG(it != table().end(), "unknown scheduler '"
-                                         << name << "' (registered: "
-                                         << known_names() << ")");
-  return it->second.deadline_aware;
+  return entry_of(name).deadline_aware;
+}
+
+bool scheduler_seeded(const std::string& name) {
+  return entry_of(name).seeded;
 }
 
 std::vector<SchedulerInfo> registered_schedulers() {
   ensure_builtins();
   std::vector<SchedulerInfo> out;
   for (const auto& [name, entry] : table())
-    out.push_back({name, entry.description, entry.deadline_aware});
+    out.push_back(
+        {name, entry.description, entry.deadline_aware, entry.seeded});
   return out;  // std::map iterates sorted by name
 }
 
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
                                           const SchedOptions& opts) {
-  ensure_builtins();
-  const auto it = table().find(name);
-  NDF_CHECK_MSG(it != table().end(), "unknown scheduler '"
-                                         << name << "' (registered: "
-                                         << known_names() << ")");
-  return it->second.factory(opts);
+  return entry_of(name).factory(opts);
 }
 
 SchedStats run_scheduler(const std::string& name, const StrandGraph& g,

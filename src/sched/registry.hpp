@@ -26,21 +26,33 @@ struct SchedulerInfo {
   /// first instead of in arrival order. Batch (single-DAG) behavior is
   /// whatever the policy's unit-level discipline is.
   bool deadline_aware = false;
+  /// True when the policy's runs depend on SchedOptions::seed. A policy
+  /// that declares false promises that two runs differing only in the seed
+  /// produce identical stats and event streams, so the sweep simulates its
+  /// cells once per repeat axis and gives every repeat row that run's
+  /// stats (exp/scenario.hpp, plan_runs). Defaults to true: a policy that
+  /// does not say is never deduplicated.
+  bool seeded = true;
 };
 
 /// Registers a policy factory. Returns false (and keeps the existing entry)
 /// if the name is taken. `deadline_aware` marks the policy for EDF-over-jobs
-/// admission in service mode (see SchedulerInfo).
+/// admission in service mode and `seeded` says whether its runs read the
+/// seed (see SchedulerInfo).
 bool register_scheduler(const std::string& name,
                         const std::string& description,
                         SchedulerFactory factory,
-                        bool deadline_aware = false);
+                        bool deadline_aware = false, bool seeded = true);
 
 bool scheduler_registered(const std::string& name);
 
 /// True when the named, registered policy asked for deadline-aware (EDF)
 /// job admission in service mode. Throws CheckError on unknown names.
 bool scheduler_deadline_aware(const std::string& name);
+
+/// True when the named, registered policy's runs depend on the seed (see
+/// SchedulerInfo::seeded). Throws CheckError on unknown names.
+bool scheduler_seeded(const std::string& name);
 
 /// All registered policies, sorted by name.
 std::vector<SchedulerInfo> registered_schedulers();

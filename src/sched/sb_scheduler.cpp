@@ -515,7 +515,8 @@ void register_sb_scheduler() {
       "sb", "space-bounded: anchoring + boundedness + allocation (Sec. 4)",
       [](const SchedOptions& opts) -> std::unique_ptr<Scheduler> {
         return std::make_unique<SbScheduler>(opts);
-      });
+      },
+      /*deadline_aware=*/false, /*seeded=*/false);
 }
 }  // namespace detail
 

@@ -70,7 +70,8 @@ void register_serial_scheduler() {
                 "baseline)",
       [](const SchedOptions& opts) -> std::unique_ptr<Scheduler> {
         return std::make_unique<SerialScheduler>(opts);
-      });
+      },
+      /*deadline_aware=*/false, /*seeded=*/false);
 }
 }  // namespace detail
 

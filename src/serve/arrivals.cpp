@@ -214,7 +214,8 @@ std::vector<JobSpec> expand_open_arrivals(
     t += -std::log(1.0 - rng.uniform()) / spec.rate;
     JobSpec j;
     j.index = i;
-    j.tenant = "t" + std::to_string(i % spec.tenants);
+    j.tenant = "t";
+    j.tenant += std::to_string(i % spec.tenants);
     j.workload = mix[i % mix.size()];
     j.arrival = t;
     if (spec.deadline > 0.0) j.deadline = t + spec.deadline;

@@ -250,7 +250,9 @@ class CellRunner {
       }
       const std::size_t widx =
           plan_.mix_widx[best.index % plan_.mix_widx.size()];
-      best.tenant = "t" + std::to_string(c);
+      std::string tenant = "t";
+      tenant += std::to_string(c);
+      best.tenant = std::move(tenant);
       best.workload = plan_.specs[widx];
       now = execute(now, best, widx, c, cell);
       ready[c] = now + spec.think;

@@ -240,8 +240,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SizeCase{16, 4}, SizeCase{16, 8}, SizeCase{24, 4},
                       SizeCase{17, 3}, SizeCase{32, 8}),
     [](const ::testing::TestParamInfo<SizeCase>& info) {
-      return "n" + std::to_string(info.param.n) + "b" +
-             std::to_string(info.param.base);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "b";
+      name += std::to_string(info.param.base);
+      return name;
     });
 
 }  // namespace

@@ -108,8 +108,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SizeCase{8, 2}, SizeCase{16, 4}, SizeCase{12, 3},
                       SizeCase{16, 2}),
     [](const ::testing::TestParamInfo<SizeCase>& info) {
-      return "n" + std::to_string(info.param.n) + "b" +
-             std::to_string(info.param.base);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "b";
+      name += std::to_string(info.param.base);
+      return name;
     });
 
 /// A deliberately broken rule table must be caught: drop LCS's vertical

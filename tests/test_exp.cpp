@@ -14,7 +14,9 @@
 //       re-derived walks, and a reused core's duration tables follow the
 //       (dag, miss costs, charge) binding, even across a dag rebuilt at the
 //       same address
-//   X5  the repeat axis varies only the seed, deterministically
+//   X5  the repeat axis varies only the seed, deterministically; a
+//       seed-free policy's repeats are one run whose stats every repeat
+//       row takes, equal to the cell run alone, at every worker count
 //   X6  the consolidated JSON/CSV emitters produce well-formed output
 //   X7  the grid runner: a mid-size grid at --jobs=1/2/8 produces
 //       byte-identical table/JSON/CSV output (with and without measured
@@ -61,6 +63,8 @@ void expect_stats_bit_identical(const SchedStats& a, const SchedStats& b,
   for (std::size_t l = 0; l < a.measured_misses.size(); ++l)
     EXPECT_DOUBLE_EQ(a.measured_misses[l], b.measured_misses[l])
         << who << " measured L" << (l + 1);
+  EXPECT_EQ(a.measured_writebacks, b.measured_writebacks) << who;
+  EXPECT_DOUBLE_EQ(a.contention_cost, b.contention_cost) << who;
 }
 
 TEST(Workload, ParseSpecDefaultsAndRoundTrip) {  // X1
@@ -631,6 +635,86 @@ TEST(Sweep, RepeatAxisVariesSeedDeterministically) {  // X5
   for (std::size_t i = 0; i < runs.size(); ++i)
     expect_stats_bit_identical(runs[i].stats, runs2[i].stats,
                                "repeat " + std::to_string(i));
+}
+
+TEST(Sweep, SeedFreeCellsRunOnce) {  // X5
+  // Seed-free policies (sb, greedy, serial) are simulated once per repeat
+  // axis and ws once per repeat, yet every row must equal the cell run
+  // alone, with its own repeat and seed, at every worker count.
+  exp::Scenario s;
+  s.workloads = exp::parse_workload_list("mm:n=32;lcs:n=64");
+  s.machines = {"flat16", "deep2x4"};
+  s.policies = {"sb", "ws", "greedy", "serial"};
+  s.repeats = 3;
+  s.base_seed = 5;
+  s.measure_misses = true;
+  const std::vector<exp::GridPoint> grid = exp::expand_grid(s);
+  std::size_t ws_cells = 0;
+  for (const exp::GridPoint& g : grid)
+    ws_cells += s.policies[g.policy] == "ws";
+  const std::size_t want_runs = ws_cells + (grid.size() - ws_cells) / 3;
+
+  std::vector<exp::Workload> workloads;
+  for (const exp::WorkloadSpec& w : s.workloads) workloads.emplace_back(w);
+  for (const std::size_t jobs : {1u, 3u}) {
+    exp::Sweep sweep(s, jobs);
+    const auto& runs = sweep.run();
+    ASSERT_EQ(runs.size(), grid.size()) << jobs << " jobs";
+    EXPECT_EQ(sweep.runs(), want_runs) << jobs << " jobs";
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const exp::GridPoint& g = grid[i];
+      const exp::RunPoint& r = runs[i];
+      const std::string who = std::to_string(jobs) + " jobs, cell " +
+                              std::to_string(i) + " " + r.policy;
+      const Pmh m = make_pmh(s.machines[g.machine]);
+      EXPECT_EQ(r.workload, s.workloads[g.workload]) << who;
+      EXPECT_EQ(r.machine, s.machines[g.machine]) << who;
+      EXPECT_EQ(r.machine_desc, m.to_string()) << who;
+      EXPECT_EQ(r.policy, s.policies[g.policy]) << who;
+      EXPECT_EQ(r.cache, CacheModelSpec{}) << who;
+      EXPECT_EQ(r.sigma, s.sigmas[0]) << who;
+      EXPECT_EQ(r.alpha_prime, s.alpha_primes[0]) << who;
+      EXPECT_EQ(r.repeat, g.repeat) << who;
+      EXPECT_EQ(r.seed, s.base_seed + g.repeat) << who;
+      SchedOptions o;
+      o.measure_misses = true;
+      o.seed = r.seed;
+      expect_stats_bit_identical(
+          r.stats,
+          run_scheduler(r.policy, workloads[g.workload].graph(), m, o), who);
+    }
+  }
+}
+
+TEST(Scenario, RunPlanSharesOnlySeedFreeRepeats) {  // X5
+  exp::Scenario s = small_scenario();
+  s.repeats = 3;
+  const auto grid = exp::expand_grid(s);
+  const exp::RunPlan plan = exp::plan_runs(s, grid);
+  ASSERT_EQ(plan.run_of.size(), grid.size());
+  // 144 cells: ws keeps its 48; sb's and greedy's 96 drop to one run per
+  // 3 repeats.
+  EXPECT_EQ(plan.cell.size(), 48u + 96u / 3u);
+  EXPECT_EQ(plan.run_of[0], 0u);  // cell 0 is run 0, the traced one
+  for (std::size_t k = 0; k < plan.cell.size(); ++k)
+    EXPECT_EQ(plan.run_of[plan.cell[k]], k) << "run " << k;
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::size_t k = plan.run_of[i];
+    // Runs appear in first-use grid order.
+    if (k == seen) ++seen;
+    ASSERT_LT(k, seen) << "cell " << i;
+    // A cell shares its run only with its own point's other repeats, and
+    // only under a seed-free policy.
+    const exp::GridPoint& a = grid[i];
+    const exp::GridPoint& b = grid[plan.cell[k]];
+    EXPECT_TRUE(a.workload == b.workload && a.sigma == b.sigma &&
+                a.machine == b.machine && a.cache == b.cache &&
+                a.alpha == b.alpha && a.policy == b.policy)
+        << "cell " << i;
+    const bool seeded = s.policies[a.policy] == "ws";
+    EXPECT_EQ(b.repeat, seeded ? a.repeat : 0u) << "cell " << i;
+  }
 }
 
 // All three emitters rendered into one string — the byte-level artifact

@@ -67,7 +67,9 @@ TEST_P(GotohSizes, Determinacy) {
 INSTANTIATE_TEST_SUITE_P(Sizes, GotohSizes,
                          ::testing::Values(4, 8, 12, 16, 17),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "n" + std::to_string(i.param);
+                           std::string name = "n";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 TEST(Gotoh, NdSpanLinearNpSuperlinear) {

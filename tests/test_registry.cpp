@@ -13,6 +13,8 @@
 //   R5  serial is the determinism baseline: makespan is exactly
 //       total_work + miss_cost and utilization is 1/p
 //   R6  every policy is deterministic run-to-run
+//   R7  only ws declares that its runs read the seed; a registration
+//       that does not say is seeded
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -78,6 +80,21 @@ TEST(Registry, UnknownPolicyErrorListsAvailableNames) {  // R1
     EXPECT_NE(msg.find("unknown scheduler 'bogus'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("greedy"), std::string::npos) << msg;
   }
+}
+
+TEST(Registry, SeedDeclarations) {  // R7
+  EXPECT_TRUE(scheduler_seeded("ws"));
+  for (const char* name : {"sb", "greedy", "edf", "serial"})
+    EXPECT_FALSE(scheduler_seeded(name)) << name;
+  EXPECT_THROW(scheduler_seeded("nope"), CheckError);
+  for (const SchedulerInfo& info : registered_schedulers())
+    EXPECT_EQ(info.seeded, scheduler_seeded(info.name)) << info.name;
+  // An external policy that does not say is never deduplicated.
+  const SchedulerFactory sb = [](const SchedOptions& o) {
+    return make_scheduler("sb", o);
+  };
+  ASSERT_TRUE(register_scheduler("test-unsaid", "sb, registered again", sb));
+  EXPECT_TRUE(scheduler_seeded("test-unsaid"));
 }
 
 class RegistryProperty : public ::testing::TestWithParam<std::size_t> {

@@ -4,7 +4,9 @@
 // and pins of every policy's exact output (stats and event stream).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "algos/lcs.hpp"
 #include "algos/matmul.hpp"
@@ -372,6 +374,75 @@ TEST(Sched, PolicyOutputIsPinned) {
                            << h.h;
     }
   }
+}
+
+TEST(Sched, SeedFreePoliciesIgnoreTheSeed) {
+  // A policy registered seed-free promises that the seed changes nothing,
+  // which is what lets the sweep simulate its repeats once. Every such
+  // builtin, on SbOutputIsPinned's workloads, two machine shapes and the
+  // occupancy layer off and on, must give bit-identical stats under three
+  // seeds, and the same event stream in one traced cell per workload. ws,
+  // the seeded policy, must move with the seed somewhere in the same grid,
+  // or the comparison could not tell a seed from none.
+  const char* const specs[] = {
+      "mm:n=32", "trs:n=32", "cholesky:n=32", "lu:n=32", "lcs:n=64",
+      "gotoh:n=64", "fw1d:n=32", "fw2d:n=32",
+      "gen:family=sp,seed=1,cross=60",
+      "gen:family=sp,depth=6,seed=4,cross=60", "gen:family=wavefront,n=8",
+      "gen:family=chain,n=12", "gen:family=forkjoin,depth=3,fan=4",
+      "gen:family=diamond,depth=3,fan=3"};
+  const std::uint64_t seeds[] = {42, 43, 1000003};
+  const Pmh machines[] = {make_pmh("flat16"), make_pmh("deep2x4")};
+  // The hash of one run (and, with `trace`, of its event stream).
+  const auto fingerprint = [](const std::string& policy,
+                              const CondensedDag& dag, const Pmh& m,
+                              bool misses, std::uint64_t seed, bool trace) {
+    obs::EventRecorder rec;
+    SchedOptions o;
+    o.measure_misses = misses;
+    o.seed = seed;
+    if (trace) o.sink = &rec;
+    SimCore core(dag, m, o);
+    Fnv h;
+    h.mix(core.run(*make_scheduler(policy, o)));
+    for (const obs::Event& e : rec.events()) h.mix(e);
+    return h.h;
+  };
+
+  std::vector<std::string> seed_free;
+  for (const SchedulerInfo& info : registered_schedulers())
+    if (!info.seeded) seed_free.push_back(info.name);
+  for (const char* name : {"sb", "greedy", "edf", "serial"})
+    EXPECT_NE(std::find(seed_free.begin(), seed_free.end(), name),
+              seed_free.end())
+        << name << " should be registered seed-free";
+
+  bool ws_moved = false;
+  for (const char* spec : specs) {
+    const exp::Workload w(exp::parse_workload(spec));
+    for (std::size_t mi = 0; mi < std::size(machines); ++mi) {
+      const Pmh& m = machines[mi];
+      const CondensedDag dag(w.graph(), level_cache_sizes(m), 1.0 / 3.0);
+      for (bool misses : {false, true}) {
+        // The traced cell: deep2x4 with misses on.
+        const bool trace = misses && mi == 1;
+        for (const std::string& policy : seed_free) {
+          const std::uint64_t first =
+              fingerprint(policy, dag, m, misses, seeds[0], trace);
+          for (std::uint64_t seed : {seeds[1], seeds[2]})
+            EXPECT_EQ(fingerprint(policy, dag, m, misses, seed, trace),
+                      first)
+                << policy << " " << spec << " on " << m.to_string()
+                << " misses=" << misses << " seed " << seed;
+        }
+        const std::uint64_t ws =
+            fingerprint("ws", dag, m, misses, seeds[0], trace);
+        for (std::uint64_t seed : {seeds[1], seeds[2]})
+          ws_moved |= fingerprint("ws", dag, m, misses, seed, trace) != ws;
+      }
+    }
+  }
+  EXPECT_TRUE(ws_moved) << "ws gave the same stats under every seed";
 }
 
 }  // namespace
