@@ -45,8 +45,8 @@ void sigma_sweep(bench::Output& out, const std::string& policy,
     std::vector<Cell> row{r.sigma, r.stats.makespan, r.stats.misses[0],
                           r.stats.utilization};
     if (misses) {
-      row.push_back(r.stats.measured_misses[0]);
-      row.push_back(r.stats.comm_cost);
+      row.emplace_back(r.stats.measured_misses[0]);
+      row.emplace_back(r.stats.comm_cost);
     }
     t.add_row(std::move(row));
   }

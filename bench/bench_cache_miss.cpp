@@ -133,13 +133,13 @@ int run(int argc, char** argv) {
       }
       if (r.policy == "ws" && !within) ++ws_exceeds;
       std::vector<Cell> row{r.workload.label(), r.machine, r.policy};
-      if (any_model) row.push_back(r.cache.label());
-      row.push_back(r.sigma);
-      row.push_back((long long)l);
-      row.push_back(q);
-      row.push_back(bound);
-      row.push_back(q / std::max(1.0, bound));
-      row.push_back(std::string(within ? "yes" : "NO"));
+      if (any_model) row.emplace_back(r.cache.label());
+      row.emplace_back(r.sigma);
+      row.emplace_back((long long)l);
+      row.emplace_back(q);
+      row.emplace_back(bound);
+      row.emplace_back(q / std::max(1.0, bound));
+      row.emplace_back(std::string(within ? "yes" : "NO"));
       t.add_row(std::move(row));
     }
   }

@@ -67,8 +67,8 @@ void sweep(bench::Output& out, const std::string& policy,
                           t1_np / ms_np, t1_nd / ms_nd / p,
                           t1_np / ms_np / p};
     if (misses) {
-      row.push_back(runs[i].stats.comm_cost);
-      row.push_back(runs[P + i].stats.comm_cost);
+      row.emplace_back(runs[i].stats.comm_cost);
+      row.emplace_back(runs[P + i].stats.comm_cost);
     }
     t.add_row(std::move(row));
   }

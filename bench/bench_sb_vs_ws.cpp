@@ -52,8 +52,8 @@ void compare(bench::Output& out, const std::vector<std::string>& policies,
 
   auto add = [&](const std::string& metric, auto value, auto ratio) {
     std::vector<Cell> row{metric};
-    for (std::size_t i = 0; i < runs.size(); ++i) row.push_back(value(i));
-    for (std::size_t i = 1; i < runs.size(); ++i) row.push_back(ratio(i));
+    for (std::size_t i = 0; i < runs.size(); ++i) row.emplace_back(value(i));
+    for (std::size_t i = 1; i < runs.size(); ++i) row.emplace_back(ratio(i));
     t.add_row(std::move(row));
   };
   for (std::size_t l = 1; l <= levels; ++l)

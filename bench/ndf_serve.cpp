@@ -123,9 +123,11 @@ int run(int argc, char** argv) {
   if (soak) {
     // Nightly grid: a long multi-tenant burst with deadlines across two
     // machine shapes and every admission discipline — 2 machines × 2 σ ×
-    // 4 policies = 16 cells of 360 heavyweight jobs each, sized so the
-    // serial run takes whole seconds (the serve gate times it; a grid that
-    // finishes in milliseconds measures thread startup, not the engine).
+    // 4 policies = 16 cells of 360 heavyweight jobs each. The 4 ws cells
+    // simulate every job; the 12 seed-free cells simulate each of the 5
+    // workloads once (serve/engine.hpp), so the serial run takes just
+    // under a second on a 4-vCPU Xeon, and the serve gate's speedup
+    // mostly measures how the ws cells spread over the workers.
     s.name = "serve-soak";
     arrivals_spec =
         "poisson:rate=0.002,jobs=360,tenants=6,deadline=9000,seed=17";

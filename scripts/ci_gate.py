@@ -16,9 +16,12 @@ wide as its header, with one row per sweep run or served job. The sweep
 gate's timed grids alternate --jobs=1 and --jobs=4 runs over 5 rounds and
 compare medians, so a drift in host load hits both sides; it records each
 side's spread and the host's steal ticks.
-The serve gate keeps the best of 3 per side. A speedup below target only
-warns, as shared runners are too noisy for a hard latency gate:
-PERF_GATE_STRICT=1 makes it fail. The stress grid runs the binary's
+The serve gate keeps the best of 3 per side. Both gates time a fixed
+single-thread calibration loop before and after their timed runs, record
+it with the steal ticks under "host", and print it beside each speedup,
+so a slow or loaded host shows next to the figure it moved. A speedup
+below target only warns, as shared runners are too noisy for a hard
+latency gate: PERF_GATE_STRICT=1 makes it fail. The stress grid runs the binary's
 --stress workloads on seven machines (STRESS_MACHINES; the binary's own
 grid has three) and STRESS_REPEAT sets its repeat axis (default 8, so its
 serial run takes >= 1 s, about 1.2 s on a 4-vCPU Xeon; the strict nightly
@@ -222,11 +225,14 @@ def speedup_verdict(results, target):
     print(f"WARN: {msg} (non-fatal; PERF_GATE_STRICT=1 to enforce)")
 
 
-def grid_results(recs):
+def grid_results(recs, host):
+    cal = (f"calibration {host['calibration_s_before']:.3f}s before, "
+           f"{host['calibration_s_after']:.3f}s after")
     return [(label, r["speedup"],
              f"serial {r['serial_wall_s']:.3f}s, parallel({JOBS}) "
              f"{r['parallel_wall_s']:.3f}s, peak RSS "
-             f"{r['parallel_peak_rss_kb']} KB") for label, r in recs.items()]
+             f"{r['parallel_peak_rss_kb']} KB, {cal}")
+            for label, r in recs.items()]
 
 
 TIMING = ("best of 3 runs per grid (raw per-run walls in *_wall_runs_s); "
@@ -247,6 +253,38 @@ def steal_ticks():
         return int(fields[8]) if fields[0] == "cpu" else None
     except (OSError, IndexError, ValueError):
         return None
+
+
+CALIBRATION_STEPS = 2_000_000
+
+
+def calibrate():
+    """Best of 3 timings (s) of a fixed single-thread integer loop, about
+    0.25-0.35 s on a 4-vCPU Xeon: how fast one core of the host runs now."""
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        x = 0
+        for i in range(CALIBRATION_STEPS):
+            x = (x * 31 + i) & 0xFFFFFFFF
+        wall = time.perf_counter() - t0
+        best = wall if best is None else min(best, wall)
+    return round(best, 4)
+
+
+def timed_on_host(run):
+    """Returns run()'s result and the host record around it: cores, steal
+    ticks and the calibration loop, each taken before and after."""
+    steal0, cal0 = steal_ticks(), calibrate()
+    result = run()
+    cal1, steal1 = calibrate(), steal_ticks()
+    return result, {
+        "nproc": os.cpu_count(), "steal_ticks_before": steal0,
+        "steal_ticks_after": steal1,
+        "steal_ticks": None if steal0 is None or steal1 is None
+        else steal1 - steal0,
+        "calibration_steps": CALIBRATION_STEPS,
+        "calibration_s_before": cal0, "calibration_s_after": cal1}
 
 
 def gate_sweep(g):
@@ -274,34 +312,32 @@ def gate_sweep(g):
 
     stress = ("--stress", STRESS_MACHINES,
               "--repeat=" + os.environ.get("STRESS_REPEAT", "8"))
-    steal0 = steal_ticks()
-    recs = {"gate": g.pair("ndf_sweep", "gate", "perf grid", *GATE_GRID,
-                           reps=SWEEP_ROUNDS, median=True),
-            "stress": g.pair("ndf_sweep", "stress", "stress grid", *stress,
-                             reps=SWEEP_ROUNDS, median=True)}
-    steal1 = steal_ticks()
-    host = {"nproc": os.cpu_count(), "steal_ticks_before": steal0,
-            "steal_ticks_after": steal1,
-            "steal_ticks": None if steal0 is None or steal1 is None
-            else steal1 - steal0}
+    recs, host = timed_on_host(lambda: {
+        "gate": g.pair("ndf_sweep", "gate", "perf grid", *GATE_GRID,
+                       reps=SWEEP_ROUNDS, median=True),
+        "stress": g.pair("ndf_sweep", "stress", "stress grid", *stress,
+                         reps=SWEEP_ROUNDS, median=True)})
     g.write_bench("BENCH_sweep_parallel.json", {
         "bench": "sweep_parallel", "jobs": JOBS,
         "min_speedup": MIN_SPEEDUP["sweep"], "timing": SWEEP_TIMING,
         "host": host, **recs})
-    speedup_verdict(grid_results(recs), MIN_SPEEDUP["sweep"])
+    speedup_verdict(grid_results(recs, host), MIN_SPEEDUP["sweep"])
 
 
 def gate_serve(g):
     g.require("ndf_serve")
-    rec = g.pair("ndf_serve", "soak", "soak grid", "--soak", reps=3)
+    rec, host = timed_on_host(
+        lambda: g.pair("ndf_serve", "soak", "soak grid", "--soak", reps=3))
     g.pair("ndf_serve", "misses", "soak grid with --misses", "--soak",
            "--misses")
     g.traced("ndf_serve", "soak", "soak grid", {"job", "queue", "unit"},
              "--soak")
     g.write_bench("BENCH_serve.json", {
         "bench": "serve_soak", "jobs": JOBS,
-        "min_speedup": MIN_SPEEDUP["serve"], "timing": TIMING, **rec})
-    speedup_verdict(grid_results({"serve soak": rec}), MIN_SPEEDUP["serve"])
+        "min_speedup": MIN_SPEEDUP["serve"], "timing": TIMING,
+        "host": host, **rec})
+    speedup_verdict(grid_results({"serve soak": rec}, host),
+                    MIN_SPEEDUP["serve"])
 
 
 def gate_native(g):

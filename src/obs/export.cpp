@@ -1,10 +1,9 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <vector>
@@ -13,20 +12,39 @@
 #include "support/report.hpp"
 
 namespace ndf::obs {
+
+// Shortest decimal that round-trips to the exact double — keeps the JSON
+// deterministic and the golden fixtures readable. The shortest round-trip
+// scientific form fixes the digit count k: no `%.<p>g` with p < k can read
+// back as `v`. `%.<k>g` rounds to nearest where the shortest form may not,
+// so p steps up from k until the `%g`-style form round-trips.
+void write_num(std::ostream& os, double v) {
+  char buf[40];
+  if (!std::isfinite(v)) {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    os << buf;
+    return;
+  }
+  const std::to_chars_result sci =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* c = buf; c != sci.ptr && *c != 'e'; ++c)
+    digits += *c >= '0' && *c <= '9';
+  for (int prec = digits;; ++prec) {
+    const std::to_chars_result out = std::to_chars(
+        buf, buf + sizeof buf, v, std::chars_format::general, prec);
+    double back = 0.0;
+    std::from_chars(buf, out.ptr, back);
+    if (back == v || prec >= 17) {
+      os.write(buf, out.ptr - buf);
+      return;
+    }
+  }
+}
+
 namespace {
 
 using report::json_escape;
-
-// Shortest decimal that round-trips to the exact double — keeps the JSON
-// deterministic and the golden fixtures readable.
-void write_num(std::ostream& os, double v) {
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  os << buf;
-}
 
 const char* cache_sub_name(std::uint8_t sub) {
   switch (CacheEvent(sub)) {

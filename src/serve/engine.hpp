@@ -9,10 +9,19 @@
 // classic policies, earliest-absolute-deadline first for policies
 // registered deadline-aware (`edf`), ties broken by arrival time then
 // submission index. The admitted job runs alone on the whole machine
-// through the shared discrete-event core: one SimCore per worker is
-// reset()-rebound per job (the PR-6 arena design), so serving a thousand
-// jobs allocates like serving one. Job latency = completion − arrival,
-// queueing included.
+// through the shared discrete-event core: one SimCore per cell is
+// reset()-rebound per simulated job, so serving a thousand jobs allocates
+// like serving one. Job latency = completion − arrival, queueing included.
+//
+// Cost model: a job's stats are a function of its workload, σ, α′, the
+// machine and its seed — plus, with --misses, the cache state earlier jobs
+// left behind. So a cell whose policy ignores the seed (sb, greedy, edf,
+// serial: SchedulerInfo::seeded), that does not measure misses and that
+// carries no trace sink simulates each distinct workload once, and every
+// later job of that workload takes the stored stats; only its admission,
+// queueing and completion times are its own. A seeded cell (ws), a
+// measured one and the traced cell 0 simulate every job.
+// ServeSweep::simulations() counts the simulations a run took.
 //
 // Measured occupancy (--misses): the simulated caches persist *across*
 // jobs (SchedOptions::keep_occupancy), so each job starts in whatever
@@ -161,6 +170,10 @@ class ServeSweep {
   /// CondensedDags built (== distinct workload × σ × cache-profile
   /// combinations). Zero until a run completes.
   std::size_t condensations_built() const { return condensations_; }
+  /// Job simulations run: one per job of a seeded, measured or traced
+  /// cell, one per distinct workload of any other cell. Zero until a run
+  /// completes.
+  std::size_t simulations() const { return simulations_; }
   std::size_t jobs() const { return jobs_; }
 
  private:
@@ -168,6 +181,7 @@ class ServeSweep {
   std::size_t jobs_ = 0;
   std::vector<ServeCell> results_;
   std::size_t condensations_ = 0;
+  std::size_t simulations_ = 0;
   bool ran_ = false;
 };
 

@@ -10,7 +10,9 @@
 //       and the recorded stream itself is identical at every worker count
 //   O4  cache events: per-level kMiss words sum to the run's measured Q_i
 //   O5  exporters: a golden Chrome-trace fixture from a synthetic recorder;
-//       structural checks on a real run's export; CSV row count
+//       structural checks on a real run's export; CSV row count; the
+//       number format equals the precision-search printf loop it replaced
+//       over a seeded sample and the edge values
 //   O6  serve reports carry the `metrics` histograms
 //   O7  progress meter: heartbeat lines on an explicit stream, silent when
 //       disabled
@@ -18,6 +20,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -418,6 +425,63 @@ TEST(ChromeTrace, GoldenFixture) {  // O5
       "\"args\": {\"units\": 0}}\n"
       "]}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+/// The exporters' original number format, kept as the reference: the
+/// first `%.<p>g`, p = 1..17, that strtod reads back as `v`.
+std::string printf_shortest(double v) {
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(ChromeTrace, NumberFormatMatchesPrintfSearch) {  // O5
+  std::vector<double> xs = {0.0, -0.0, 1.0, -1.0, 0.1, 1e21, 1e-7,
+                            136407036.0, 0.30000000000000004,
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::lowest(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  // Every ±2^e, normal and subnormal, and the double just below it.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double x : {p, std::nextafter(p, 0.0)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    // Integers and cents, as simulated times and work counts print.
+    const std::uint64_t k = rng() % 2000000000000ull;
+    xs.push_back(double(k));
+    xs.push_back(double(k % 100000000) / 100.0);
+    // Random magnitudes, and random bit patterns (subnormals included).
+    xs.push_back(std::ldexp(double(rng() >> 11), int(rng() % 200) - 150));
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) xs.push_back(d);
+    const std::uint64_t sub = rng() >> 12;  // exponent field zero
+    std::memcpy(&d, &sub, sizeof d);
+    xs.push_back(d);
+  }
+  std::size_t mismatches = 0;
+  for (const double x : xs) {
+    std::ostringstream os;
+    obs::write_num(os, x);
+    const std::string want = printf_shortest(x);
+    if (os.str() != want && ++mismatches <= 10)
+      ADD_FAILURE() << "write_num gives " << os.str() << ", the printf "
+                    << "search " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << xs.size();
 }
 
 TEST(ChromeTrace, RealRunExportIsStructurallySound) {  // O5

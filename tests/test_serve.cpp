@@ -26,13 +26,22 @@
 //       out-of-range parameters fail loudly; a workload that fails to
 //       build leaves no results and no build count at --jobs=1 and 2, and
 //       a second run() throws again
+//   V9  per-workload memo: a seed-free, unmeasured, untraced cell simulates
+//       each distinct workload once, and every JobRecord still equals its
+//       job run alone (fresh SimCore, fresh policy, its own seed); ws jobs
+//       keep their own seeds, and the traced cell records every unit of
+//       every job
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "exp/workload.hpp"
+#include "obs/recorder.hpp"
 #include "pmh/presets.hpp"
 #include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
@@ -495,6 +504,172 @@ TEST(ServeEngine, PerJobMeasuredMissAttribution) {  // V7
         << l;
   EXPECT_DOUBLE_EQ(cells[0].summary.comm_cost,
                    j0.comm_cost + j1.comm_cost + j2.comm_cost);
+}
+
+/// Each job of a served cell run alone, as the engine would have run it
+/// without a memo: a fresh SimCore and a fresh policy per job, seeded with
+/// the job's own seed. Workloads and condensations are built once.
+class SoloRuns {
+ public:
+  explicit SoloRuns(const ServeScenario& s) : s_(s) {}
+
+  SchedStats run(const ServeCell& cell, const JobSpec& job) {
+    const Pmh m = make_pmh(cell.machine);
+    const std::string label = job.workload.label();
+    std::unique_ptr<exp::Workload>& w = workloads_[label];
+    if (!w) w = std::make_unique<exp::Workload>(job.workload);
+    std::unique_ptr<CondensedDag>& dag =
+        dags_[{label, cell.machine, cell.sigma}];
+    if (!dag)
+      dag = std::make_unique<CondensedDag>(w->graph(), level_cache_sizes(m),
+                                           cell.sigma);
+    SchedOptions opts;
+    opts.sigma = cell.sigma;
+    opts.alpha_prime = s_.alpha_prime;
+    opts.seed = s_.base_seed + job.index;
+    SimCore core(*dag, m, opts);
+    return core.run(*make_scheduler(cell.policy, opts));
+  }
+
+  /// Expects every record of `cells` to equal its solo run bit for bit.
+  void expect_equal(const std::vector<ServeCell>& cells,
+                    const std::string& where) {
+    for (const ServeCell& c : cells)
+      for (const serve::JobRecord& r : c.jobs) {
+        const SchedStats solo = run(c, r.job);
+        const std::string at = where + " " + c.policy + " sigma=" +
+                               std::to_string(c.sigma) + " job " +
+                               std::to_string(r.job.index) + " (" +
+                               r.job.workload.label() + ")";
+        EXPECT_EQ(r.service, solo.makespan) << at;
+        EXPECT_EQ(r.utilization, solo.utilization) << at;
+        EXPECT_EQ(r.completion, r.start + solo.makespan) << at;
+        EXPECT_EQ(r.latency, r.completion - r.job.arrival) << at;
+        EXPECT_TRUE(r.measured_misses.empty()) << at;
+      }
+  }
+
+ private:
+  const ServeScenario& s_;
+  std::map<std::string, std::unique_ptr<exp::Workload>> workloads_;
+  std::map<std::tuple<std::string, std::string, double>,
+           std::unique_ptr<CondensedDag>>
+      dags_;
+};
+
+/// Simulations a memoizing run should take: every ws job, plus one per
+/// distinct workload of each seed-free cell.
+std::size_t expected_simulations(const std::vector<ServeCell>& cells) {
+  std::size_t n = 0;
+  for (const ServeCell& c : cells) {
+    std::set<std::string> workloads;
+    for (const serve::JobRecord& r : c.jobs)
+      workloads.insert(r.job.workload.label());
+    n += c.policy == "ws" ? c.jobs.size() : workloads.size();
+  }
+  return n;
+}
+
+TEST(ServeEngine, MemoizedJobsEqualSoloRuns) {  // V9
+  // Open and closed streams over a three-workload mix with deadlines (so
+  // edf reorders admission), under every builtin policy, σ and α′.
+  const std::vector<exp::WorkloadSpec> mix = exp::parse_workload_list(
+      "mm:n=16;lcs:n=64;gen:family=sp,depth=4,fan=3,cross=60,seed=13");
+  ServeScenario open;
+  open.jobs = serve::expand_open_arrivals(
+      serve::parse_arrivals(
+          "poisson:rate=0.0002,jobs=18,tenants=3,deadline=30000,seed=3"),
+      mix);
+  open.machines = {"deep2x4"};
+  open.policies = {"sb", "edf", "greedy", "serial", "ws"};
+  open.sigmas = {1.0 / 3.0, 0.5};
+  ServeScenario closed = open;
+  closed.jobs.clear();
+  closed.closed = serve::parse_arrivals(
+      "closed:clients=3,jobs=4,think=300,deadline=40000");
+  closed.mix = mix;
+
+  for (ServeScenario* s : {&open, &closed})
+    for (const double alpha : {1.0, 0.5}) {
+      s->alpha_prime = alpha;
+      SoloRuns solo(*s);
+      for (const std::size_t jobs : {1u, 3u}) {
+        const std::string where = std::string(s->closed ? "closed" : "open") +
+                                  " alpha'=" + std::to_string(alpha) +
+                                  " jobs=" + std::to_string(jobs);
+        ServeSweep sweep(*s, jobs);
+        const std::vector<ServeCell>& cells = sweep.run();
+        ASSERT_EQ(cells.size(), 10u) << where;
+        solo.expect_equal(cells, where);
+        EXPECT_EQ(sweep.simulations(), expected_simulations(cells)) << where;
+      }
+    }
+}
+
+TEST(ServeEngine, WsJobsTakeTheirOwnSeeds) {  // V9
+  // The soak mix on flat16: here a ws job's service depends on its steal
+  // seed, so a cell that reused one job's run for the next job of the
+  // same workload would serve a different stream.
+  ServeScenario s;
+  s.mix = exp::parse_workload_list(
+      "mm:n=48;trs:n=48,np;gen:family=sp,depth=9,fan=4,work=32,cross=60,"
+      "seed=11;gen:family=wavefront,n=48;gen:family=forkjoin,depth=48,"
+      "fan=24");
+  s.jobs = serve::expand_open_arrivals(
+      serve::parse_arrivals("poisson:rate=0.002,jobs=15,tenants=3,seed=17"),
+      s.mix);
+  s.machines = {"flat16"};
+  s.policies = {"ws", "sb"};
+  ServeSweep sweep(s, 2);
+  const std::vector<ServeCell>& cells = sweep.run();
+  SoloRuns(s).expect_equal(cells, "soak mix");
+  EXPECT_EQ(sweep.simulations(), 15u + 5u);
+
+  // The case has teeth: some workload's ws jobs differ in service.
+  std::map<std::string, std::set<double>> services;
+  for (const serve::JobRecord& r : cells[0].jobs)
+    services[r.job.workload.label()].insert(r.service);
+  std::size_t seed_sensitive = 0;
+  for (const auto& [label, values] : services)
+    seed_sensitive += values.size() > 1;
+  EXPECT_GT(seed_sensitive, 0u);
+}
+
+TEST(ServeEngine, TracedCellRecordsEveryJobsUnits) {  // V9
+  // Cell 0 carries the trace sink and is seed-free (sb), so only the sink
+  // keeps it from memoizing: each admitted job must emit one kUnit event
+  // per atomic unit of its own simulation, between its admit and its
+  // completion. The untraced edf cell still memoizes.
+  const std::vector<exp::WorkloadSpec> mix =
+      exp::parse_workload_list("mm:n=16;lcs:n=64");
+  ServeScenario s;
+  s.jobs = serve::expand_open_arrivals(
+      serve::parse_arrivals("poisson:rate=0.0002,jobs=8,tenants=2,seed=4"),
+      mix);
+  s.machines = {"deep2x4"};
+  s.policies = {"sb", "edf"};
+  obs::EventRecorder rec;
+  s.trace_sink = &rec;
+  ServeSweep sweep(s, 2);
+  const std::vector<ServeCell>& cells = sweep.run();
+  EXPECT_EQ(sweep.simulations(), cells[0].jobs.size() + mix.size());
+
+  SoloRuns solo(s);
+  std::size_t admitted = 0, units = 0;
+  for (const obs::Event& e : rec.events()) {
+    if (e.kind == obs::Event::Kind::kUnit) ++units;
+    if (e.kind != obs::Event::Kind::kJob) continue;
+    if (obs::JobEvent(e.sub) == obs::JobEvent::kAdmit) {
+      units = 0;
+    } else if (obs::JobEvent(e.sub) == obs::JobEvent::kComplete) {
+      ASSERT_LT(admitted, cells[0].jobs.size());
+      const serve::JobRecord& r = cells[0].jobs[admitted++];
+      EXPECT_EQ(e.b, std::int64_t(r.job.index));
+      EXPECT_EQ(units, solo.run(cells[0], r.job).atomic_units)
+          << "job " << r.job.index << " (" << r.job.workload.label() << ")";
+    }
+  }
+  EXPECT_EQ(admitted, cells[0].jobs.size());
 }
 
 TEST(ServeEngine, BuildFailureLeavesNothingBehindAtEveryJobs) {  // V8
