@@ -1,12 +1,13 @@
 // Shared helpers for the experiment harness binaries. Every bench prints
 // the series the paper's corresponding claim describes (README.md's "Bench
 // driver flag reference" lists every driver and its flags) plus a fitted
-// growth exponent where the claim is asymptotic.
+// growth exponent where the claim is asymptotic. The scheduling claims
+// E7-E9 and the σ/α' ablations are ndf_sweep presets (src/exp/presets.hpp).
 //
 // Passing `--json=<path>` to any bench that routes its tables through
 // bench::Output mirrors every table into a machine-readable JSON file
-// (e.g. BENCH_sb_vs_ws.json) for the perf trajectory; a mirror that cannot
-// be written exits 2 like any other bad input.
+// (e.g. `bench_trace --json=BENCH_trace.json`) for the perf trajectory; a
+// mirror that cannot be written exits 2 like any other bad input.
 //
 // Every driver's main() goes through bench::run_main, so a bad flag or a
 // bad spec exits 2 with one `<driver>: <message>` line on stderr.
@@ -98,7 +99,7 @@ inline std::vector<std::string> split_specs(const std::string& specs) {
 }
 
 inline void heading(const std::string& id, const std::string& claim) {
-  std::cout << "\n=== " << id << " ===\n" << claim << "\n\n";
+  print_heading(std::cout, id, claim);
 }
 
 /// `--dump-dot=<path>` for drivers that take workload specs: writes the

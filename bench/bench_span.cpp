@@ -5,6 +5,8 @@
 //   E3 Cholesky  NP Θ(n log² n)  vs ND Θ(n)  (Sec. 3 Eqs. 10–12)
 //   E4 FW1D      NP Θ(n log n)   vs ND Θ(n)  (Eq. 15), and LU with partial
 //                pivoting: ND O(m log n), NP pays an extra log (Sec. 3)
+//   A3 base-case size: strands, spans and Q* of TRS as the base grows
+//                (the analysis-only ablation; DESIGN.md's design choices)
 // Each claim is regenerated as a series of measured spans with fitted
 // growth exponents. The grid is fixed; the driver takes no flags.
 #include <cmath>
@@ -14,6 +16,7 @@
 #include "algos/lcs.hpp"
 #include "algos/lu.hpp"
 #include "algos/trs.hpp"
+#include "analysis/pcc.hpp"
 #include "bench_common.hpp"
 #include "nd/drs.hpp"
 
@@ -106,6 +109,22 @@ int run(int argc, char** argv) {
               /*fit_np=*/false);
   std::cout << "Expected shape: FW1D ND exponent ~1.0; LU keeps one log "
                "factor in ND (pivoting) and gains one over NP.\n";
+
+  bench::heading("A3 span/base case",
+                 "Ablation: the base-case size trades span and overhead "
+                 "against cache-complexity granularity.");
+  Table t("A3: base-case sweep — TRS n=64");
+  t.set_header({"base", "strands", "span_ND", "span_NP", "Q*(M=768)"});
+  for (std::size_t b : {2, 4, 8, 16}) {
+    SpawnTree tree = make_trs_tree(64, b);
+    t.add_row({(long long)b, (long long)tree.strand_count(tree.root()),
+               elaborate(tree).span(),
+               elaborate(tree, {.np_mode = true}).span(),
+               parallel_cache_complexity(tree, 768.0)});
+  }
+  t.print(std::cout);
+  std::cout << "Expected shape: larger bases cut strand counts but coarsen "
+               "the DAG (longer span, same Q*).\n";
   return 0;
 }
 

@@ -1,9 +1,9 @@
 // ndf_sweep — the declarative experiment-sweep driver. One binary expands a
 // workload × machine × policy × σ × α' × repeat grid, reuses each
 // workload's condensation across everything that shares it, and emits one
-// consolidated table / JSON / CSV (src/exp/). The per-claim bench binaries
-// (bench_sb_vs_ws, bench_ablation, bench_sb_scaling) are thin wrappers over
-// the same subsystem; this driver is the general tool.
+// consolidated table / JSON / CSV (src/exp/). Named grids are presets
+// (src/exp/presets.hpp): the smoke and stress grids, and the paper-claim
+// tables E7 (sb_bounds), E8 (sb_scaling), E9 (sb_vs_ws) and EA (ablation).
 //
 //   ndf_sweep --workloads='mm:n=64;trs:n=48,np'
 //             --machines='flat16;twotier:s=4,c=4'
@@ -41,11 +41,11 @@
 //   --dump-dot=<path>            DOT of the first workload's strand DAG
 //                                (nd/dot), then run the sweep as usual
 //   --name=<id>                  sweep id in the outputs
-//   --smoke                      small fixed grid for CI (fast)
-//   --stress                     large fixed grid (~1000 cells of deep/wide
-//                                generated workloads) for perf measurement;
-//                                axes overridable as usual (CI trims with
-//                                --repeat=2)
+//   --preset=<name>              a named grid (--list shows them): smoke
+//                                (CI) and stress (perf) take the axis
+//                                flags as overrides; a paper claim's
+//                                tables take only --sched --jobs --misses
+//                                --json --csv
 //   --phase-times                print per-phase wall-clock (workload build
 //                                / condensation / cell execution / emit),
 //                                the distinct-run count and per-worker
@@ -69,6 +69,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "exp/presets.hpp"
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
 #include "obs/export.hpp"
@@ -103,6 +104,21 @@ void list_everything() {
                "--misses):\n";
   for (const auto& c : registered_cache_repls())
     std::cout << "  " << c.name << " — " << c.description << "\n";
+  std::cout << "\npresets (--preset=<name>):\n";
+  for (const auto& p : exp::presets())
+    std::cout << "  " << p.name << " — " << p.description
+              << (p.blocks ? " (--sched default " + p.sched + ")" : "") << "\n";
+}
+
+/// `--json`/`--csv`: the run-record documents over `runs`.
+void write_outputs(const Args& args, const std::string& name,
+                   const std::vector<exp::RunPoint>& runs) {
+  bench::write_flag_file(args, "json", [&](std::ostream& os) {
+    exp::write_sweep_json(os, name, runs);
+  });
+  bench::write_flag_file(args, "csv", [&](std::ostream& os) {
+    exp::write_sweep_csv(os, runs);
+  });
 }
 
 int run(int argc, char** argv) {
@@ -110,7 +126,7 @@ int run(int argc, char** argv) {
   bench::reject_unknown_flags(
       args,
       {"workloads", "machines", "sched", "sigma", "alpha", "repeat", "seed",
-       "jobs", "json", "csv", "name", "smoke", "stress", "list", "dump-dot",
+       "jobs", "json", "csv", "name", "preset", "list", "dump-dot",
        "misses", "cache", "phase-times", "trace-out", "progress"},
       "see the header of ndf_sweep.cpp or --list");
   if (args.get("list", false)) {
@@ -118,51 +134,28 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  exp::Scenario s;
-  const bool smoke = args.get("smoke", false);
-  const bool stress = args.get("stress", false);
-  NDF_CHECK_MSG(!(smoke && stress), "--smoke and --stress are exclusive");
-  if (smoke) {
-    // Small fixed grid CI can afford on every push: three transcribed
-    // workloads (two ND, one NP variant) plus two generated ones (a random
-    // series-parallel tree and a wavefront), two machine shapes, all four
-    // policies, two σ, a repeat axis for ws variance — 160 runs.
-    s.name = "smoke";
-    s.workloads = exp::parse_workload_list(
-        "mm:n=32;lcs:n=128;trs:n=32,np;"
-        "gen:family=sp,depth=6,fan=3,seed=7;gen:family=wavefront,n=12");
-    s.machines = {"flat:p=8,m1=192,c1=10", "deep2x4"};
-    s.policies = {"sb", "ws", "greedy", "serial"};
-    s.sigmas = {1.0 / 3.0, 0.5};
-    s.repeats = 2;
+  const exp::Preset* preset =
+      args.has("preset") ? &exp::find_preset(args.get("preset", std::string()))
+                         : nullptr;
+  if (preset && preset->blocks) {
+    bench::reject_unknown_flags(
+        args, {"preset", "sched", "jobs", "misses", "json", "csv"},
+        "a paper preset takes only --sched, --jobs, --misses, --json and "
+        "--csv");
+    const auto runs = exp::run_preset(
+        *preset, parse_sched_list(args.get("sched", preset->sched)),
+        bench::misses_flag(args), bench::jobs_flag(args), std::cout);
+    write_outputs(args, preset->name, runs);
+    return 0;
   }
-  if (stress) {
-    // Deliberately big: deep/wide generated DAGs the smoke grid never
-    // touches, across three machine shapes — 6 workloads × 2 σ × 3
-    // machines × 4 policies × 7 repeats = 1008 cells (360 distinct runs:
-    // only ws's repeats are simulated separately), under a second of
-    // serial wall-clock. This is the grid the perf gate and scaling
-    // measurements use when thread startup must be noise, not signal.
-    s.name = "stress";
-    s.workloads = exp::parse_workload_list(
-        "gen:family=sp,depth=9,fan=4,work=32,cross=60,seed=11;"
-        "gen:family=sp,depth=11,fan=3,work=32,cross=60,seed=13;"
-        "gen:family=wavefront,n=96;"
-        "gen:family=forkjoin,depth=64,fan=48;"
-        "gen:family=diamond,depth=128,fan=24;"
-        "gen:family=chain,n=4096");
-    s.machines = {"flat16", "deep4x4", "deep2x4"};
-    s.policies = {"sb", "ws", "greedy", "serial"};
-    s.sigmas = {1.0 / 3.0, 0.5};
-    s.repeats = 7;
-  }
+  exp::Scenario s = preset ? preset->grid() : exp::Scenario{};
   s.name = args.get("name", s.name);
   if (args.has("workloads"))
     s.workloads =
         exp::parse_workload_list(args.get("workloads", std::string()));
   if (args.has("machines"))
     s.machines = bench::split_specs(args.get("machines", std::string()));
-  if (args.has("sched") || (!smoke && !stress))
+  if (args.has("sched") || !preset)
     s.policies =
         parse_sched_list(args.get("sched", std::string("sb,ws,greedy,serial")));
   if (args.has("sigma"))
@@ -181,10 +174,10 @@ int run(int argc, char** argv) {
   const std::size_t jobs = bench::jobs_flag(args);
 
   NDF_CHECK_MSG(!s.workloads.empty(),
-                "no workloads — pass --workloads=... or --smoke "
+                "no workloads — pass --workloads=... or --preset=smoke "
                 "(--list shows what exists)");
   NDF_CHECK_MSG(!s.machines.empty(),
-                "no machines — pass --machines=... or --smoke "
+                "no machines — pass --machines=... or --preset=smoke "
                 "(--list shows what exists)");
 
   bench::dump_dot_flag(args, s.workloads.front());
@@ -204,12 +197,7 @@ int run(int argc, char** argv) {
         << " runs, " << sweep.condensations_built() << " condensations built";
   exp::results_table(title.str(), runs).print(std::cout);
 
-  bench::write_flag_file(args, "json", [&](std::ostream& os) {
-    exp::write_sweep_json(os, sweep.scenario().name, runs);
-  });
-  bench::write_flag_file(args, "csv", [&](std::ostream& os) {
-    exp::write_sweep_csv(os, runs);
-  });
+  write_outputs(args, sweep.scenario().name, runs);
 
   if (!trace_out.empty()) {
     obs::write_trace_file(trace_out, rec, sweep.scenario().name);

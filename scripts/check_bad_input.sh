@@ -2,8 +2,9 @@
 # Bad input to a bench driver must fail cleanly: exit code 2 and exactly
 # one stderr line (`<driver>: <message>`), never an uncaught-exception
 # abort (`terminate called ...`, exit 134). Covers an unknown flag and a
-# bad spec for ndf_sweep, ndf_serve, ndf_native and bench_sb_vs_ws, an
-# unknown flag for the fixed-grid drivers (bench_pcc,
+# bad spec for ndf_sweep, ndf_serve and ndf_native, a bad --sched, an
+# unknown --preset, a policy list a preset does not fit and a flag a paper
+# preset does not take, an unknown flag for the fixed-grid drivers (bench_pcc,
 # bench_parallelizability, bench_span: they take none), plus
 # a spec that parses but fails when its workload is built (wavefront n is
 # capped at 256), which is thrown from inside the grid runner, a --json or
@@ -35,7 +36,7 @@ expect_exit_2() {
   fi
 }
 
-for driver in ndf_sweep ndf_serve ndf_native bench_sb_vs_ws bench_pcc \
+for driver in ndf_sweep ndf_serve ndf_native bench_pcc \
     bench_parallelizability bench_span; do
   expect_exit_2 "unknown flag --bogus" "$driver" --bogus
 done
@@ -43,12 +44,20 @@ expect_exit_2 "mm:n=abc" ndf_sweep --workloads=mm:n=abc --machines=flat8
 expect_exit_2 "mm:n=abc" ndf_serve --workloads=mm:n=abc \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
 expect_exit_2 "mm:n=abc" ndf_native --workloads=mm:n=abc
-expect_exit_2 "unknown scheduler 'nope'" bench_sb_vs_ws --sched=nope
+expect_exit_2 "unknown flag --bogus" ndf_sweep --preset=sb_vs_ws --bogus
+expect_exit_2 "unknown scheduler 'nope'" ndf_sweep --preset=sb_vs_ws \
+    --sched=nope
+expect_exit_2 "unknown preset 'nope' (presets: smoke, stress," ndf_sweep \
+    --preset=nope
+expect_exit_2 "exactly one policy here, got 2" ndf_sweep \
+    --preset=sb_scaling --sched=sb,ws
+expect_exit_2 "unknown flag --workloads (a paper preset" ndf_sweep \
+    --preset=sb_vs_ws --workloads=mm:n=8
 expect_exit_2 "[1, 256]" ndf_sweep --workloads=gen:family=wavefront,n=257 \
     --machines=flat8
 expect_exit_2 "[1, 256]" ndf_serve --workloads=gen:family=wavefront,n=257 \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
-expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --smoke \
+expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --preset=smoke \
     --json=/dev/full
 expect_exit_2 "failed writing --csv=/dev/full" ndf_serve --smoke \
     --csv=/dev/full

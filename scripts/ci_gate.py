@@ -2,8 +2,9 @@
 """Determinism, Theorem 1 and timing gates for a Release build.
 
 sweep   ndf_sweep smoke grid at --jobs=1 vs 4 (plain, --misses, explicit
-        --cache=lru, traced), the Theorem 1 check of bench_cache_miss, and
-        the timed gate and --stress grids. Writes BENCH_sweep_parallel.json
+        --cache=lru, traced), the sb_vs_ws paper preset with --misses at
+        --jobs=1 vs 4, the Theorem 1 check of bench_cache_miss, and the
+        timed gate and stress grids. Writes BENCH_sweep_parallel.json
         and BENCH_cache_miss.json.
 serve   ndf_serve --soak timed at --jobs=1 vs 4 (every same-seed rerun must
         equal the first), then --misses and traced. Writes BENCH_serve.json.
@@ -21,9 +22,9 @@ single-thread calibration loop before and after their timed runs, record
 it with the steal ticks under "host", and print it beside each speedup,
 so a slow or loaded host shows next to the figure it moved. A speedup
 below target only warns, as shared runners are too noisy for a hard
-latency gate: PERF_GATE_STRICT=1 makes it fail. The stress grid runs the binary's
---stress workloads on seven machines (STRESS_MACHINES; the binary's own
-grid has three) and STRESS_REPEAT sets its repeat axis (default 8, so its
+latency gate: PERF_GATE_STRICT=1 makes it fail. The stress grid runs the
+--preset=stress workloads on seven machines (STRESS_MACHINES; the preset
+has three) and STRESS_REPEAT sets its repeat axis (default 8, so its
 serial run takes >= 1 s, about 1.2 s on a 4-vCPU Xeon; the strict nightly
 run uses 14). Repeats scale only the seeded ws cells: the sweep simulates
 a seed-free policy's repeats once.
@@ -289,14 +290,17 @@ def timed_on_host(run):
 
 def gate_sweep(g):
     g.require("ndf_sweep", "bench_cache_miss")
-    g.pair("ndf_sweep", "smoke", "smoke grid", "--smoke")
-    g.pair("ndf_sweep", "misses", "smoke grid with --misses", "--smoke",
+    g.pair("ndf_sweep", "smoke", "smoke grid", "--preset=smoke")
+    g.pair("ndf_sweep", "misses", "smoke grid with --misses", "--preset=smoke",
            "--misses")
-    g.run("ndf_sweep", "misses-lru", "--smoke", "--misses", "--cache=lru",
-          "--jobs=1")
+    g.pair("ndf_sweep", "sb_vs_ws", "sb_vs_ws preset with --misses",
+           "--preset=sb_vs_ws", "--misses")
+    g.run("ndf_sweep", "misses-lru", "--preset=smoke", "--misses",
+          "--cache=lru", "--jobs=1")
     g.identical("misses-serial", "misses-lru",
                 "smoke grid with --misses, default vs explicit --cache=lru")
-    g.traced("ndf_sweep", "smoke", "smoke grid", {"queue", "unit"}, "--smoke")
+    g.traced("ndf_sweep", "smoke", "smoke grid", {"queue", "unit"},
+             "--preset=smoke")
 
     miss = subprocess.run([os.path.join(g.build, "bench_cache_miss"),
                            f"--json={g.build}/BENCH_cache_miss.json"],
@@ -310,7 +314,7 @@ def gate_sweep(g):
     print(*lines[-2:], "OK: Theorem 1 held for all space-bounded runs "
           "(BENCH_cache_miss.json)", sep="\n")
 
-    stress = ("--stress", STRESS_MACHINES,
+    stress = ("--preset=stress", STRESS_MACHINES,
               "--repeat=" + os.environ.get("STRESS_REPEAT", "8"))
     recs, host = timed_on_host(lambda: {
         "gate": g.pair("ndf_sweep", "gate", "perf grid", *GATE_GRID,

@@ -1,5 +1,5 @@
 // Consolidated sweep emitters: one stdout table, one JSON document (the
-// trajectory artifact CI validates and uploads, `ndf_sweep --smoke
+// trajectory artifact CI validates and uploads, `ndf_sweep --preset=smoke
 // --json=...`) and one CSV (for spreadsheets/pandas), however many axes
 // the scenario swept. All three render one record per run point
 // (exp/report.cpp, the column list docs/metrics.md maps) through

@@ -68,4 +68,9 @@ std::string Table::to_string() const {
 
 void Table::print(std::ostream& os) const { os << to_string(); }
 
+void print_heading(std::ostream& os, const std::string& id,
+                   const std::string& claim) {
+  os << "\n=== " << id << " ===\n" << claim << "\n\n";
+}
+
 }  // namespace ndf

@@ -36,4 +36,9 @@ class Table {
   std::vector<std::vector<Cell>> rows_;
 };
 
+/// An experiment's heading: `=== <id> ===` and its claim, set off by
+/// blank lines.
+void print_heading(std::ostream& os, const std::string& id,
+                   const std::string& claim);
+
 }  // namespace ndf

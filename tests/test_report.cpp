@@ -9,14 +9,18 @@
 //   R3  the shared renderer (support/report): one JSON escaper, the column
 //       rules (presence, list padding, absent values, shaping by name) and
 //       JSON groups
+//   R4  the paper presets' stdout (exp/presets) is pinned by hash at one
+//       and four workers, and a preset takes only the policies it fits
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <sstream>
 
+#include "exp/presets.hpp"
 #include "exp/report.hpp"
 #include "pmh/cache_model.hpp"
+#include "sched/registry.hpp"
 #include "serve/report.hpp"
 #include "support/report.hpp"
 
@@ -275,6 +279,61 @@ TEST(Renderer, ColumnsFollowTheShownFields) {  // R3
   EXPECT_EQ(json.str(),
             "\"name\": \"a\" | \"name\": \"b\", \"g\": {\"extra\": 7, "
             "\"q\": [1.5, 2]}");
+}
+
+TEST(ReportPin, PaperPresetsArePinned) {  // R4
+  // Taken from the per-claim driver binaries each preset replaced
+  // (ablation without its A3 table, which bench_span prints now).
+  const struct {
+    const char* preset;
+    const char* sched;  ///< nullptr: the preset's default
+    bool misses;
+    std::uint64_t hash;
+  } cases[] = {
+      {"sb_bounds", nullptr, false, 0xefa1be74700bab74ull},
+      {"sb_scaling", nullptr, false, 0x9c0a5e24f0822b28ull},
+      {"sb_scaling", nullptr, true, 0x8a750183dd744ea8ull},
+      {"sb_vs_ws", nullptr, false, 0x4a3afbc5fc7e4324ull},
+      {"sb_vs_ws", nullptr, true, 0x6aae74b3e5d46714ull},
+      {"sb_vs_ws", "sb,ws,greedy,serial", false, 0x936eb565b6d46c5dull},
+      {"ablation", nullptr, false, 0x32ecdf1727f1c4ddull},
+      {"ablation", nullptr, true, 0x1f4e0715c9ddf86cull},
+  };
+  for (const auto& c : cases) {
+    const exp::Preset& p = exp::find_preset(c.preset);
+    for (std::size_t jobs : {1, 4}) {
+      std::ostringstream os;
+      exp::run_preset(p, parse_sched_list(c.sched ? c.sched : p.sched),
+                      c.misses, jobs, os);
+      EXPECT_EQ(fnv1a(os.str()), c.hash)
+          << c.preset << " --sched=" << (c.sched ? c.sched : p.sched)
+          << (c.misses ? " --misses" : "") << " --jobs=" << jobs << " 0x"
+          << std::hex << fnv1a(os.str()) << "\n" << os.str();
+    }
+  }
+}
+
+TEST(Presets, NamesAndPolicyListsAreChecked) {  // R4
+  try {
+    exp::find_preset("nope");
+    FAIL() << "unknown preset accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    for (const exp::Preset& p : exp::presets())
+      EXPECT_NE(what.find(p.name), std::string::npos) << what;
+  }
+  std::ostringstream os;
+  // One-policy presets take exactly one; sb_vs_ws takes a non-empty list.
+  EXPECT_THROW(exp::run_preset(exp::find_preset("sb_scaling"), {"sb", "ws"},
+                               false, 1, os),
+               CheckError);
+  EXPECT_THROW(
+      exp::run_preset(exp::find_preset("sb_vs_ws"), {}, false, 1, os),
+      CheckError);
+  EXPECT_THROW(
+      exp::run_preset(exp::find_preset("smoke"), {"sb"}, false, 1, os),
+      CheckError);
+  EXPECT_EQ(os.str(), "");
 }
 
 }  // namespace
