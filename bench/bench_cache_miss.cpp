@@ -9,17 +9,15 @@
 // CI gate on Theorem 1), while `ws` rows show the bound failing without
 // capacity reservations — stealing reloads scattered footprints past Q*.
 //
-// Flags:
+// Flags (every spec and list follows README's "Spec grammar"):
 //   --workloads=<spec;...>  default: all eight transcribed kernels at
 //                           small n
 //   --machines=<spec;...>   default: flat8;deep2x4
 //   --sigma=<x,x,...>       default: 0.25,0.33...,0.5 (all swept values
 //                           are gated for sb)
 //   --sched=<name,...>      default: sb,ws,greedy,serial
-//   --cache=<spec;...>      cache-model axis (pmh/cache_model.hpp): bare
-//                           replacement names or full cache:repl=...,
-//                           assoc=,line=,excl=,wb=,bw= specs; default the
-//                           single ideal LRU model. The Theorem 1 CI gate
+//   --cache=<spec;...>      cache-model axis (docs/cache-models.md);
+//                           default the ideal LRU model. The Theorem 1 gate
 //                           applies only to default-model sb cells — rows
 //                           under non-ideal models report where the bound
 //                           survives or erodes, without failing the gate
@@ -76,7 +74,7 @@ int run(int argc, char** argv) {
                   "gotoh:n=64;fw1d:n=16;fw2d:n=16")));
   s.machines = {"flat8", "deep2x4"};
   if (args.has("machines"))
-    s.machines = bench::split_specs(args.get("machines", std::string()));
+    s.machines = spec::split(args.get("machines", std::string()), ';');
   s.policies = parse_sched_list(
       args.get("sched", std::string("sb,ws,greedy,serial")));
   s.sigmas = {0.25, 1.0 / 3.0, 0.5};

@@ -16,12 +16,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "support/check.hpp"
 #include "support/fit.hpp"
 #include "support/report.hpp"
+#include "support/spec.hpp"
 #include "support/table.hpp"
 
 namespace ndf::bench {
@@ -69,32 +69,17 @@ inline bool misses_flag(const Args& args) {
   return args.get("misses", false);
 }
 
-/// Comma-separated doubles for an axis flag (`--sigma=0.2,0.33`).
+/// Comma-separated reals for an axis flag (`--sigma=0.2,0.33`).
 inline std::vector<double> parse_double_list(const std::string& csv,
                                              const std::string& flag) {
   std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    NDF_CHECK_MSG(end && *end == '\0',
-                  "--" << flag << " entry is not a number: " << item);
-    out.push_back(v);
+  for (const std::string& item : spec::split(csv, ',')) {
+    const std::optional<double> v = spec::to_real(item);
+    NDF_CHECK_MSG(v, "--" << flag << " entry is not a finite number: "
+                          << item);
+    out.push_back(*v);
   }
   NDF_CHECK_MSG(!out.empty(), "--" << flag << " list is empty");
-  return out;
-}
-
-/// Semicolon-separated spec strings (`--machines='flat8;deep2x4'`);
-/// empty items are skipped, so trailing separators are harmless.
-inline std::vector<std::string> split_specs(const std::string& specs) {
-  std::vector<std::string> out;
-  std::stringstream ss(specs);
-  std::string item;
-  while (std::getline(ss, item, ';'))
-    if (!item.empty()) out.push_back(item);
   return out;
 }
 

@@ -10,7 +10,7 @@
 //              --reps=3 --json=BENCH_native.json
 //   (one line; wrapped here for readability)
 //
-// Flags:
+// Flags (every spec and list follows README's "Spec grammar"):
 //   --workloads=<spec;spec;...>  workload specs (src/exp/workload.hpp);
 //                                default: all eight kernels plus two
 //                                generated DAGs at measurement sizes
@@ -73,11 +73,14 @@ void list_everything() {
 
 std::vector<std::size_t> parse_thread_list(const std::string& csv) {
   std::vector<std::size_t> out;
-  for (double v : bench::parse_double_list(csv, "threads")) {
-    NDF_CHECK_MSG(v >= 1 && v == static_cast<std::size_t>(v),
-                  "--threads entries must be positive integers");
-    out.push_back(static_cast<std::size_t>(v));
+  for (const std::string& item : spec::split(csv, ',')) {
+    const std::optional<std::uint64_t> v = spec::to_uint(item);
+    NDF_CHECK_MSG(v && *v >= 1 && *v <= 1024,
+                  "--threads entries must be integers in [1, 1024], got "
+                      << item);
+    out.push_back(std::size_t(*v));
   }
+  NDF_CHECK_MSG(!out.empty(), "--threads list is empty");
   return out;
 }
 
@@ -173,17 +176,10 @@ int run(int argc, char** argv) {
       parse_thread_list(args.get("threads", std::string("1,2,4,8")));
   std::vector<ExecMode> modes;
   for (const std::string& m :
-       bench::split_specs(args.get("sched", std::string("ws;sb")))) {
-    std::stringstream ss(m);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item == "ws")
-        modes.push_back(ExecMode::Ws);
-      else if (item == "sb")
-        modes.push_back(ExecMode::Sb);
-      else
-        NDF_CHECK_MSG(false, "--sched must list ws and/or sb, got " << item);
-    }
+       spec::split(args.get("sched", std::string("ws,sb")), ',')) {
+    NDF_CHECK_MSG(m == "ws" || m == "sb",
+                  "--sched must list ws and/or sb, got " << m);
+    modes.push_back(m == "ws" ? ExecMode::Ws : ExecMode::Sb);
   }
   const std::string machine_spec =
       args.get("machine", std::string("deep2x4"));

@@ -10,18 +10,16 @@
 //             --machines=flat16 --sched=sb,edf --json=BENCH_serve.json
 //   ndf_serve --trace=jobs.trace --machines=deep2x4 --sched=edf
 //
-// Flags:
+// Flags (every spec and list follows README's "Spec grammar"):
 //   --trace=<path>               job stream from a trace file, one job per
 //                                line: <arrival> <tenant> <workload-spec>
 //                                [deadline=<t>] (src/serve/arrivals.hpp)
-//   --arrivals=<spec>            generated stream instead of a trace:
-//                                poisson:rate=,jobs=[,tenants=][,deadline=]
-//                                [,seed=] (open) or closed:clients=,jobs=
-//                                [,think=][,deadline=] (closed loop); the
-//                                workload mix comes from --workloads
+//   --arrivals=<spec>            generated stream instead of a trace, a
+//                                poisson: (open) or closed: (closed loop)
+//                                spec; the mix comes from --workloads
 //   --workloads=<spec;spec;...>  workload mix for --arrivals (dealt
 //                                round-robin); ignored with --trace
-//   --machines=<spec;spec;...>   see src/pmh/presets.hpp
+//   --machines=<spec;spec;...>   presets, flat: or twotier: machines
 //   --sched=<name,name,...>      registry policies (default sb,edf)
 //   --sigma=<x,x,...>            dilation values in (0,1), default 1/3
 //   --alpha=<x>                  SB allocation exponent, default 1.0
@@ -33,11 +31,10 @@
 //                                across jobs and attribute per-job/per-
 //                                tenant measured Q_i (docs/metrics.md)
 //   --cache=<spec>               single cache model for the persistent
-//                                occupancy (pmh/cache_model.hpp): a bare
-//                                replacement name or a full cache:repl=...
-//                                spec; default ideal LRU. Not an axis —
-//                                the service caches persist across jobs,
-//                                so one model binds the whole scenario
+//                                occupancy (docs/cache-models.md); default
+//                                ideal LRU. Not an axis: the service caches
+//                                persist across jobs, so one model binds
+//                                the whole scenario
 //   --json=<path> --csv=<path>   consolidated emitters
 //   --name=<id>                  run id in the outputs
 //   --smoke                      small fixed scenario for CI (fast)
@@ -144,7 +141,7 @@ int run(int argc, char** argv) {
   if (args.has("workloads"))
     s.mix = exp::parse_workload_list(args.get("workloads", std::string()));
   if (args.has("machines"))
-    s.machines = bench::split_specs(args.get("machines", std::string()));
+    s.machines = spec::split(args.get("machines", std::string()), ';');
   if (args.has("sched") || (!smoke && !soak))
     s.policies = parse_sched_list(args.get("sched", std::string("sb,edf")));
   if (args.has("sigma"))

@@ -11,10 +11,9 @@
 //             --repeat=3 --json=SWEEP.json --csv=SWEEP.csv
 //   (one line; wrapped here for readability)
 //
-// Flags:
-//   --workloads=<spec;spec;...>  see src/exp/workload.hpp (named algos and
-//                                generated "gen:family=..." specs alike)
-//   --machines=<spec;spec;...>   see src/pmh/presets.hpp
+// Flags (every spec and list follows README's "Spec grammar"):
+//   --workloads=<spec;spec;...>  named algos and generated gen: specs
+//   --machines=<spec;spec;...>   presets, flat: or twotier: machines
 //   --sched=<name,name,...>      registry policies (default all four)
 //   --sigma=<x,x,...>            dilation values in (0,1), default 1/3
 //   --alpha=<x,x,...>            SB allocation exponents, default 1.0
@@ -30,11 +29,8 @@
 //                                columns in every emitter (off: legacy
 //                                output, byte-identical)
 //   --cache=<spec;spec;...>      cache-model axis for the measured
-//                                occupancy (pmh/cache_model.hpp): bare
-//                                replacement names ("lru;clock") or full
-//                                "cache:repl=clock,assoc=8,line=64,wb=1,
-//                                bw=0.5,excl=1" specs; default the single
-//                                ideal LRU model. Only meaningful with
+//                                occupancy (docs/cache-models.md); default
+//                                the ideal LRU model. Only meaningful with
 //                                --misses; non-default models add a cache
 //                                column to every emitter
 //   --json=<path> --csv=<path>   consolidated emitters
@@ -154,7 +150,7 @@ int run(int argc, char** argv) {
     s.workloads =
         exp::parse_workload_list(args.get("workloads", std::string()));
   if (args.has("machines"))
-    s.machines = bench::split_specs(args.get("machines", std::string()));
+    s.machines = spec::split(args.get("machines", std::string()), ';');
   if (args.has("sched") || !preset)
     s.policies =
         parse_sched_list(args.get("sched", std::string("sb,ws,greedy,serial")));

@@ -9,8 +9,9 @@
 # a spec that parses but fails when its workload is built (wavefront n is
 # capped at 256), which is thrown from inside the grid runner, a --json or
 # --csv file that cannot be fully written (/dev/full; a bench driver's
-# table mirror as well as the sweep and serve emitters), and the
-# examples/inspect_dag binary (when the examples are built).
+# table mirror as well as the sweep and serve emitters), the
+# examples/inspect_dag binary (when the examples are built), and specs or
+# flags the grammar rejects (README "Spec grammar").
 #
 # Usage: scripts/check_bad_input.sh <build-dir>   (ctest: bad_input_exits_2)
 set -u
@@ -57,6 +58,19 @@ expect_exit_2 "[1, 256]" ndf_sweep --workloads=gen:family=wavefront,n=257 \
     --machines=flat8
 expect_exit_2 "[1, 256]" ndf_serve --workloads=gen:family=wavefront,n=257 \
     --arrivals=poisson:rate=0.001,jobs=2 --machines=flat8
+# Spec and flag spellings that must not run something other than what they
+# say: a repeated machine key, counts beyond 64 bits or past the 2^20-job
+# stream cap, a repeated flag and an out-of-range integer flag.
+expect_exit_2 "duplicate machine parameter 'p'" ndf_sweep \
+    --workloads=mm:n=8 --machines=flat:p=4,p=8
+expect_exit_2 "workload parameter 'n' in 'mm:n=99999999999999999999'" \
+    ndf_sweep --workloads=mm:n=99999999999999999999
+expect_exit_2 "arrival parameter 'jobs'" ndf_serve \
+    --arrivals=poisson:rate=1,jobs=99999999999999999999
+expect_exit_2 "flag --sched is given more than once" ndf_sweep --sched=sb \
+    --sched=ws
+expect_exit_2 "flag --repeat is out of range" ndf_sweep \
+    --repeat=99999999999999999999
 expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --preset=smoke \
     --json=/dev/full
 expect_exit_2 "failed writing --csv=/dev/full" ndf_serve --smoke \

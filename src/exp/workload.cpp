@@ -1,9 +1,7 @@
 #include "exp/workload.hpp"
 
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -15,6 +13,7 @@
 #include "algos/lu.hpp"
 #include "algos/matmul.hpp"
 #include "algos/trs.hpp"
+#include "support/spec.hpp"
 
 namespace ndf::exp {
 
@@ -40,25 +39,7 @@ const std::map<std::string, Builder>& builders() {
   return t;
 }
 
-std::string known_workloads() {
-  std::string s;
-  for (const auto& [name, b] : builders()) {
-    if (!s.empty()) s += ", ";
-    s += name;
-  }
-  return s;
-}
-
-std::size_t parse_size(const std::string& spec, const std::string& key,
-                       const std::string& val) {
-  char* end = nullptr;
-  const long long v = std::strtoll(val.c_str(), &end, 10);
-  NDF_CHECK_MSG(end && *end == '\0' && !val.empty() && v > 0,
-                "workload parameter '" << key << "' in '" << spec
-                                       << "' is not a positive integer: "
-                                       << val);
-  return std::size_t(v);
-}
+std::string known_workloads() { return spec::names(builders()); }
 
 }  // namespace
 
@@ -85,8 +66,7 @@ std::vector<WorkloadInfo> registered_workloads() {
 
 WorkloadSpec parse_workload(const std::string& spec) {
   WorkloadSpec w;
-  const auto colon = spec.find(':');
-  w.algo = spec.substr(0, colon);
+  w.algo = spec.substr(0, spec.find(':'));
 
   // Validate the algo name first, so a typo'd name is reported as such
   // even when its parameters are malformed too.
@@ -96,74 +76,26 @@ WorkloadSpec parse_workload(const std::string& spec) {
                                      << "' (registered: " << known_workloads()
                                      << ", or gen:family=...)");
 
-  // One pass over the parameter items: `np` flags are consumed here (they
-  // apply to every workload kind), everything else is collected as
-  // key=value pairs. Duplicates are rejected loudly for both kinds — a
-  // spec like "mm:n=4,n=8" silently taking the last value is exactly the
-  // kind of typo that produces a plausible-looking wrong sweep.
-  std::vector<std::pair<std::string, std::string>> kv;
-  std::set<std::string> seen;
-  const auto claim = [&](const std::string& key) {
-    NDF_CHECK_MSG(seen.insert(key).second,
-                  "duplicate workload parameter '" << key << "' in '" << spec
-                                                   << "'");
-  };
-  if (colon != std::string::npos) {
-    std::stringstream ss(spec.substr(colon + 1));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      if (item == "np") {
-        claim("np");
-        w.np = true;
-        continue;
-      }
-      const auto eq = item.find('=');
-      NDF_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "bad workload parameter '" << item << "' in '" << spec
-                                               << "' (want key=value or np)");
-      const std::string key = item.substr(0, eq);
-      const std::string val = item.substr(eq + 1);
-      claim(key);
-      if (key == "np") {
-        NDF_CHECK_MSG(val == "0" || val == "1",
-                      "workload parameter np in '" << spec << "' must be 0/1");
-        w.np = val == "1";
-      } else {
-        kv.emplace_back(key, val);
-      }
-    }
-  }
-
+  // `np` applies to every workload kind; the other keys are the algo's.
+  const spec::Params p(spec, "workload", "np");
+  w.np = p.integer("np", 0, 0, 1) == 1;
   if (w.algo == "gen") {
-    w.gen = gen::parse_gen_params(kv, spec);
+    w.gen = gen::parse_gen_params(p);
     // Surface the size parameter in the n column of tables/JSON/CSV for
     // families that have one (chain, wavefront); 0 means not applicable.
     if (gen::family_accepts(w.gen->family, "n")) w.n = w.gen->n;
     return w;
   }
-
-  w.n = algo_it->second.default_n;
-  for (const auto& [key, val] : kv) {
-    if (key == "n") {
-      w.n = parse_size(spec, key, val);
-    } else if (key == "base") {
-      w.base = parse_size(spec, key, val);
-    } else {
-      NDF_CHECK_MSG(false, "unknown workload parameter '"
-                               << key << "' in '" << spec
-                               << "' (valid: n, base, np)");
-    }
-  }
+  p.allow({"n", "base", "np"});
+  w.n = p.integer("n", algo_it->second.default_n, 1);
+  w.base = p.integer("base", w.base, 1);
   return w;
 }
 
 std::vector<WorkloadSpec> parse_workload_list(const std::string& specs) {
   std::vector<WorkloadSpec> out;
-  std::stringstream ss(specs);
-  std::string item;
-  while (std::getline(ss, item, ';'))
-    if (!item.empty()) out.push_back(parse_workload(item));
+  for (const std::string& item : spec::split(specs, ';'))
+    out.push_back(parse_workload(item));
   return out;
 }
 

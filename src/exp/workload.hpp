@@ -10,10 +10,9 @@
 //                                                   fan=4,seed=7"
 //
 // `np` selects the nested-parallel elaboration (the paper's comparison
-// baseline) instead of the nested-dataflow one. Unknown algos, unknown or
-// inapplicable keys, and duplicate keys all fail loudly, listing what is
-// accepted. Specs round-trip through WorkloadSpec::label(), which is the
-// key used in sweep tables and JSON.
+// baseline) instead of the nested-dataflow one. The grammar and its
+// rejections are README's "Spec grammar" (support/spec.hpp). Specs
+// round-trip through WorkloadSpec::label(), the key of sweep outputs.
 #pragma once
 
 #include <memory>

@@ -1,12 +1,8 @@
 #include "gen/gen.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <sstream>
-#include <utility>
 
 #include "analysis/determinacy.hpp"
 #include "gen/families.hpp"
@@ -64,14 +60,7 @@ const std::map<std::string, Family>& families() {
   return t;
 }
 
-std::string known_families() {
-  std::string s;
-  for (const auto& [name, f] : families()) {
-    if (!s.empty()) s += ", ";
-    s += name;
-  }
-  return s;
-}
+std::string known_families() { return spec::names(families()); }
 
 const Family& family_of(const GenSpec& spec, const std::string& context) {
   const auto it = families().find(spec.family);
@@ -80,23 +69,6 @@ const Family& family_of(const GenSpec& spec, const std::string& context) {
                                        << "' (registered: "
                                        << known_families() << ")");
   return it->second;
-}
-
-std::uint64_t parse_u64(const std::string& spec, const std::string& key,
-                        const std::string& val) {
-  // Digits only (strtoull would accept '+', whitespace and, saturating,
-  // out-of-range values — all of which must fail loudly instead).
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(val.c_str(), &end, 10);
-  NDF_CHECK_MSG(!val.empty() && val.find_first_not_of("0123456789") ==
-                                    std::string::npos &&
-                    end && *end == '\0' && errno != ERANGE,
-                "gen parameter '" << key << "' in '" << spec
-                                  << "' is not a non-negative 64-bit "
-                                     "integer: "
-                                  << val);
-  return v;
 }
 
 bool accepts(const Family& f, const std::string& key) {
@@ -141,36 +113,25 @@ bool family_accepts(const std::string& family, const std::string& key) {
   return it != families().end() && accepts(it->second, key);
 }
 
-GenSpec parse_gen_params(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& spec) {
+GenSpec parse_gen_params(const spec::Params& params) {
   GenSpec g;
   // Family first (it may appear anywhere in the list), so the accepted-key
   // check below knows which family it is checking against.
-  for (const auto& [key, val] : kv)
-    if (key == "family") g.family = val;
-  const Family& f = family_of(g, spec);
-
-  for (const auto& [key, val] : kv) {
-    if (key == "family") continue;
-    NDF_CHECK_MSG(accepts(f, key),
+  g.family = params.word("family", g.family);
+  const Family& f = family_of(g, params.text());
+  for (const auto& [key, val] : params.items())
+    NDF_CHECK_MSG(key == "family" || key == "np" || accepts(f, key),
                   "gen family '" << g.family << "' does not accept "
-                                 << "parameter '" << key << "' in '" << spec
-                                 << "' (accepted: " << f.keys << ", np)");
-    const std::uint64_t v = parse_u64(spec, key, val);
-    if (key == "n")
-      g.n = std::size_t(v);
-    else if (key == "depth")
-      g.depth = std::size_t(v);
-    else if (key == "fan")
-      g.fan = std::size_t(v);
-    else if (key == "work")
-      g.work = std::size_t(v);
-    else if (key == "cross")
-      g.cross = std::size_t(v);
-    else
-      g.seed = v;  // "seed" — accepted-key check above rules out the rest
-  }
+                                 << "parameter '" << key << "' in '"
+                                 << params.text() << "' (accepted: " << f.keys
+                                 << ", np)");
+  // Any 64-bit value parses; generate() range-checks the sizes.
+  g.n = params.integer("n", g.n);
+  g.depth = params.integer("depth", g.depth);
+  g.fan = params.integer("fan", g.fan);
+  g.work = params.integer("work", g.work);
+  g.cross = params.integer("cross", g.cross);
+  g.seed = params.integer("seed", g.seed);
   return g;
 }
 

@@ -32,10 +32,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "nd/spawn_tree.hpp"
+#include "support/spec.hpp"
 
 namespace ndf::gen {
 
@@ -72,14 +72,11 @@ std::vector<FamilyInfo> registered_families();
 /// surface applicable gen parameters in its own columns.
 bool family_accepts(const std::string& family, const std::string& key);
 
-/// Parses the key=value items of a "gen:" spec (np is handled by the
-/// workload parser and never reaches here). Throws CheckError on unknown
-/// families (listing the registered ones), keys a family does not accept
-/// (listing the accepted ones), or malformed values. `spec` is the full
-/// spec string, for error messages.
-GenSpec parse_gen_params(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& spec);
+/// Reads the items of a parsed "gen:" spec (np belongs to the workload
+/// parser and is skipped here). Throws CheckError on unknown families
+/// (listing the registered ones), keys a family does not accept (listing
+/// the accepted ones), or malformed values, naming the full spec.
+GenSpec parse_gen_params(const spec::Params& params);
 
 /// Builds the spawn tree of a spec. Validates parameter ranges loudly
 /// (also when a spec was constructed past the parser) and runs the

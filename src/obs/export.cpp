@@ -1,50 +1,20 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <vector>
 
 #include "support/check.hpp"
 #include "support/report.hpp"
+#include "support/spec.hpp"
 
 namespace ndf::obs {
-
-// Shortest decimal that round-trips to the exact double — keeps the JSON
-// deterministic and the golden fixtures readable. The shortest round-trip
-// scientific form fixes the digit count k: no `%.<p>g` with p < k can read
-// back as `v`. `%.<k>g` rounds to nearest where the shortest form may not,
-// so p steps up from k until the `%g`-style form round-trips.
-void write_num(std::ostream& os, double v) {
-  char buf[40];
-  if (!std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
-    return;
-  }
-  const std::to_chars_result sci =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
-  int digits = 0;
-  for (const char* c = buf; c != sci.ptr && *c != 'e'; ++c)
-    digits += *c >= '0' && *c <= '9';
-  for (int prec = digits;; ++prec) {
-    const std::to_chars_result out = std::to_chars(
-        buf, buf + sizeof buf, v, std::chars_format::general, prec);
-    double back = 0.0;
-    std::from_chars(buf, out.ptr, back);
-    if (back == v || prec >= 17) {
-      os.write(buf, out.ptr - buf);
-      return;
-    }
-  }
-}
 
 namespace {
 
 using report::json_escape;
+using spec::write_real;
 
 const char* cache_sub_name(std::uint8_t sub) {
   switch (CacheEvent(sub)) {
@@ -173,9 +143,9 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
         std::ostream& o = em.begin();
         o << "\"name\": \"u" << e.b << "\", \"cat\": \"unit\", \"ph\": \"X\""
           << ", \"ts\": ";
-        write_num(o, e.t0);
+        write_real(o, e.t0);
         o << ", \"dur\": ";
-        write_num(o, e.t1 - e.t0);
+        write_real(o, e.t1 - e.t0);
         o << ", \"pid\": 0, \"tid\": " << e.a << ", \"args\": {\"unit\": "
           << e.b << ", \"root\": " << e.c << "}";
         em.end();
@@ -185,9 +155,9 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
         std::ostream& o = em.begin();
         o << "\"name\": \"wait u" << e.b
           << "\", \"cat\": \"queue\", \"ph\": \"X\", \"ts\": ";
-        write_num(o, e.t0);
+        write_real(o, e.t0);
         o << ", \"dur\": ";
-        write_num(o, e.t1 - e.t0);
+        write_real(o, e.t1 - e.t0);
         o << ", \"pid\": 0, \"tid\": " << e.a << ", \"args\": {\"unit\": "
           << e.b << "}";
         em.end();
@@ -205,10 +175,10 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
           o << "\"name\": \"" << cache_sub_name(e.sub) << " t" << e.b
             << "\", \"cat\": \"cache\", \"ph\": \"i\", \"s\": \"t\", "
                "\"ts\": ";
-          write_num(o, e.t0);
+          write_real(o, e.t0);
           o << ", \"pid\": 1, \"tid\": " << tid << ", \"args\": {\"task\": "
             << e.b << ", \"words\": ";
-          write_num(o, e.words);
+          write_real(o, e.words);
           o << "}";
           em.end();
         }
@@ -216,9 +186,9 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
           std::ostream& o = em.begin();
           o << "\"name\": \"used L" << e.c << " c" << e.a
             << "\", \"ph\": \"C\", \"ts\": ";
-          write_num(o, e.t0);
+          write_real(o, e.t0);
           o << ", \"pid\": 1, \"args\": {\"words\": ";
-          write_num(o, e.value);
+          write_real(o, e.value);
           o << "}";
           em.end();
         }
@@ -233,7 +203,7 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
             o << "\"name\": \"arrive j" << e.b
               << "\", \"cat\": \"job\", \"ph\": \"i\", \"s\": \"t\", "
                  "\"ts\": ";
-            write_num(o, e.t0);
+            write_real(o, e.t0);
             o << ", \"pid\": 2, \"tid\": " << e.a << ", \"args\": {\"job\": "
               << e.b << "}";
             em.end();
@@ -245,9 +215,9 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
             std::ostream& o = em.begin();
             o << "\"name\": \"wait j" << e.b
               << "\", \"cat\": \"job\", \"ph\": \"X\", \"ts\": ";
-            write_num(o, js.arrival);
+            write_real(o, js.arrival);
             o << ", \"dur\": ";
-            write_num(o, e.t0 - js.arrival);
+            write_real(o, e.t0 - js.arrival);
             o << ", \"pid\": 2, \"tid\": " << e.a << ", \"args\": {\"job\": "
               << e.b << "}";
             em.end();
@@ -258,9 +228,9 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
             o << "\"name\": \"j" << e.b;
             if (!js.label.empty()) o << " " << json_escape(js.label);
             o << "\", \"cat\": \"job\", \"ph\": \"X\", \"ts\": ";
-            write_num(o, js.admit);
+            write_real(o, js.admit);
             o << ", \"dur\": ";
-            write_num(o, e.t0 - js.admit);
+            write_real(o, e.t0 - js.admit);
             o << ", \"pid\": 2, \"tid\": " << e.a << ", \"args\": {\"job\": "
               << e.b << "}";
             em.end();
@@ -271,7 +241,7 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
             o << "\"name\": \"deadline-miss j" << e.b
               << "\", \"cat\": \"job\", \"ph\": \"i\", \"s\": \"t\", "
                  "\"ts\": ";
-            write_num(o, e.t0);
+            write_real(o, e.t0);
             o << ", \"pid\": 2, \"tid\": " << e.a << ", \"args\": {\"job\": "
               << e.b << "}";
             em.end();
@@ -290,7 +260,7 @@ void write_chrome_trace(std::ostream& os, const EventRecorder& rec,
     depth += delta;
     std::ostream& o = em.begin();
     o << "\"name\": \"ready-queue\", \"ph\": \"C\", \"ts\": ";
-    write_num(o, t);
+    write_real(o, t);
     o << ", \"pid\": 0, \"args\": {\"units\": " << depth << "}";
     em.end();
   }
@@ -305,33 +275,33 @@ void write_events_csv(std::ostream& os, const EventRecorder& rec) {
     switch (e.kind) {
       case Event::Kind::kUnit: {
         os << "unit,,";
-        write_num(os, e.t0);
+        write_real(os, e.t0);
         os << ",";
-        write_num(os, e.t1);
+        write_real(os, e.t1);
         os << "," << e.a << "," << e.b << "," << e.c << ",,,\n";
         break;
       }
       case Event::Kind::kWait: {
         os << "wait,,";
-        write_num(os, e.t0);
+        write_real(os, e.t0);
         os << ",";
-        write_num(os, e.t1);
+        write_real(os, e.t1);
         os << "," << e.a << "," << e.b << ",,,,\n";
         break;
       }
       case Event::Kind::kCache: {
         os << "cache," << cache_sub_name(e.sub) << ",";
-        write_num(os, e.t0);
+        write_real(os, e.t0);
         os << ",," << e.a << "," << e.b << "," << e.c << ",";
-        write_num(os, e.words);
+        write_real(os, e.words);
         os << ",";
-        write_num(os, e.value);
+        write_real(os, e.value);
         os << ",\n";
         break;
       }
       case Event::Kind::kJob: {
         os << "job," << job_sub_name(e.sub) << ",";
-        write_num(os, e.t0);
+        write_real(os, e.t0);
         os << ",," << e.a << "," << e.b << ",,,,";
         if (e.c >= 0 && std::size_t(e.c) < labels.size())
           os << report::csv_field(labels[std::size_t(e.c)]);

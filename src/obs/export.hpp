@@ -23,10 +23,6 @@
 
 namespace ndf::obs {
 
-/// Writes `v` as the shortest `%.<p>g` form (smallest precision p) that
-/// reads back as exactly `v` — the number format of both exporters.
-void write_num(std::ostream& os, double v);
-
 /// Writes the Chrome trace-event JSON document; `name` identifies the run
 /// in the file's otherData block.
 void write_chrome_trace(std::ostream& os, const EventRecorder& rec,

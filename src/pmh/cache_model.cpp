@@ -1,11 +1,10 @@
 #include "pmh/cache_model.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <map>
-#include <set>
 #include <sstream>
+
+#include "support/spec.hpp"
 
 namespace ndf {
 
@@ -157,22 +156,8 @@ void ensure_builtins() {
 // policy message lists what is actually available (sched/registry.cpp).
 std::string known_names() {
   ensure_builtins();
-  std::string s;
-  for (const auto& [name, entry] : table()) {
-    if (!s.empty()) s += ", ";
-    s += name;
-  }
+  const std::string s = spec::names(table());
   return s.empty() ? "<none>" : s;
-}
-
-double parse_value(const std::string& spec, const std::string& key,
-                   const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  NDF_CHECK_MSG(end && *end == '\0' && !val.empty(),
-                "cache parameter '" << key << "' in '" << spec
-                                    << "' is not a number: " << val);
-  return v;
 }
 
 }  // namespace
@@ -184,10 +169,10 @@ std::string CacheModelSpec::label() const {
   std::ostringstream os;
   os << "cache:repl=" << repl;
   if (assoc != 0) os << ",assoc=" << assoc;
-  if (line != 0.0) os << ",line=" << line;
+  if (line != 0.0) spec::write_real(os << ",line=", line);
   if (exclusive) os << ",excl=1";
-  if (wb != 0.0) os << ",wb=" << wb;
-  if (bw != 0.0) os << ",bw=" << bw;
+  if (wb != 0.0) spec::write_real(os << ",wb=", wb);
+  if (bw != 0.0) spec::write_real(os << ",bw=", bw);
   return os.str();
 }
 
@@ -221,9 +206,9 @@ std::unique_ptr<ReplacementPolicy> make_cache_repl(const std::string& name) {
 }
 
 CacheModelSpec parse_cache_model(const std::string& spec) {
+  const spec::Params p(spec, "cache");
   CacheModelSpec out;
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) {
+  if (!p.parametric()) {
     // Bare policy name shorthand: "clock" == "cache:repl=clock".
     NDF_CHECK_MSG(cache_repl_registered(spec),
                   "unknown cache model '"
@@ -233,77 +218,28 @@ CacheModelSpec parse_cache_model(const std::string& spec) {
     out.repl = spec;
     return out;
   }
-  const std::string family = spec.substr(0, colon);
-  NDF_CHECK_MSG(family == "cache",
+  NDF_CHECK_MSG(p.head() == "cache",
                 "unknown cache-model family '"
-                    << family << "' in '" << spec
+                    << p.head() << "' in '" << spec
                     << "' (want cache:key=value,... or a bare policy name: "
                     << known_names() << ")");
-  static const char* kValid = "assoc, bw, excl, line, repl, wb";
-  std::set<std::string> seen;
-  std::stringstream ss(spec.substr(colon + 1));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    NDF_CHECK_MSG(eq != std::string::npos && eq > 0,
-                  "bad cache parameter '" << item << "' in '" << spec
-                                          << "' (want key=value)");
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    NDF_CHECK_MSG(seen.insert(key).second, "duplicate cache parameter '"
-                                               << key << "' in '" << spec
-                                               << "'");
-    if (key == "repl") {
-      NDF_CHECK_MSG(cache_repl_registered(val),
-                    "unknown replacement policy '"
-                        << val << "' in '" << spec
-                        << "' (registered: " << known_names() << ")");
-      out.repl = val;
-    } else if (key == "assoc") {
-      const double v = parse_value(spec, key, val);
-      NDF_CHECK_MSG(v >= 0.0 && v == std::floor(v) && v <= double(1 << 20),
-                    "cache parameter 'assoc' in '"
-                        << spec << "' must be an integer in [0, 2^20], got "
-                        << val);
-      out.assoc = std::size_t(v);
-    } else if (key == "line") {
-      const double v = parse_value(spec, key, val);
-      NDF_CHECK_MSG(v >= 0.0, "cache parameter 'line' in '"
-                                  << spec << "' must be >= 0, got " << val);
-      out.line = v;
-    } else if (key == "excl") {
-      const double v = parse_value(spec, key, val);
-      NDF_CHECK_MSG(v == 0.0 || v == 1.0, "cache parameter 'excl' in '"
-                                              << spec
-                                              << "' must be 0 or 1, got "
-                                              << val);
-      out.exclusive = v == 1.0;
-    } else if (key == "wb") {
-      const double v = parse_value(spec, key, val);
-      NDF_CHECK_MSG(v >= 0.0, "cache parameter 'wb' in '"
-                                  << spec << "' must be >= 0, got " << val);
-      out.wb = v;
-    } else if (key == "bw") {
-      const double v = parse_value(spec, key, val);
-      NDF_CHECK_MSG(v >= 0.0, "cache parameter 'bw' in '"
-                                  << spec << "' must be >= 0, got " << val);
-      out.bw = v;
-    } else {
-      NDF_CHECK_MSG(false, "unknown cache parameter '"
-                               << key << "' in '" << spec
-                               << "' (valid: " << kValid << ")");
-    }
-  }
+  p.allow({"assoc", "bw", "excl", "line", "repl", "wb"});
+  out.repl = p.word("repl", out.repl);
+  NDF_CHECK_MSG(cache_repl_registered(out.repl),
+                "unknown replacement policy '"
+                    << out.repl << "' in '" << spec
+                    << "' (registered: " << known_names() << ")");
+  out.assoc = p.integer("assoc", 0, 0, 1 << 20);
+  out.line = p.real("line", 0.0);
+  out.exclusive = p.integer("excl", 0, 0, 1) == 1;
+  out.wb = p.real("wb", 0.0);
+  out.bw = p.real("bw", 0.0);
   return out;
 }
 
 std::vector<CacheModelSpec> parse_cache_model_list(const std::string& specs) {
   std::vector<CacheModelSpec> out;
-  std::stringstream ss(specs);
-  std::string item;
-  while (std::getline(ss, item, ';')) {
-    if (item.empty()) continue;
+  for (const std::string& item : spec::split(specs, ';')) {
     CacheModelSpec m = parse_cache_model(item);
     if (std::find(out.begin(), out.end(), m) == out.end())
       out.push_back(std::move(m));

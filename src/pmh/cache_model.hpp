@@ -23,8 +23,7 @@
 //                 other processors under the same cache are busy costs x·k
 //                 extra traffic words. Default 0 = infinite bandwidth.
 //
-// Specs are parsed with the same verbatim-rejection discipline as machine
-// and gen: specs — every error names the full offending spec string. The
+// The spec grammar is README's "Spec grammar" (support/spec.hpp). The
 // default spec (plain "lru") makes the occupancy layer byte-identical to
 // the pre-registry whole-capacity LRU, which the CI perf gate enforces.
 //

@@ -1,9 +1,9 @@
 #include "pmh/presets.hpp"
 
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <map>
-#include <sstream>
+
+#include "support/spec.hpp"
 
 namespace ndf {
 
@@ -34,81 +34,7 @@ const std::map<std::string, Preset>& presets() {
   return t;
 }
 
-std::string preset_names() {
-  std::string s;
-  for (const auto& [name, p] : presets()) {
-    if (!s.empty()) s += ", ";
-    s += name;
-  }
-  return s;
-}
-
-/// Parses "k1=v1,k2=v2" with every key validated against `allowed` (a
-/// defaults map that doubles as the schema). Every rejection names the
-/// full offending spec string verbatim, not just the key — a sweep over
-/// dozens of machine specs must say *which* spec was typo'd.
-std::map<std::string, double> parse_params(
-    const std::string& spec, const std::string& body,
-    const std::map<std::string, double>& allowed) {
-  std::map<std::string, double> out = allowed;
-  std::string valid;
-  for (const auto& [k, v] : allowed) {
-    (void)v;
-    if (!valid.empty()) valid += ", ";
-    valid += k;
-  }
-  std::stringstream ss(body);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    NDF_CHECK_MSG(eq != std::string::npos && eq > 0,
-                  "bad machine parameter '" << item << "' in '" << spec
-                                            << "' (want key=value)");
-    const std::string key = item.substr(0, eq);
-    NDF_CHECK_MSG(allowed.count(key), "unknown machine parameter '"
-                                          << key << "' in '" << spec
-                                          << "' (valid: " << valid << ")");
-    char* end = nullptr;
-    const std::string val = item.substr(eq + 1);
-    out[key] = std::strtod(val.c_str(), &end);
-    NDF_CHECK_MSG(end && *end == '\0' && !val.empty(),
-                  "machine parameter '" << key << "' in '" << spec
-                                        << "' is not a number: " << val);
-  }
-  return out;
-}
-
-/// Count-valued parameters (processors, sockets, cores) must be positive
-/// integers: a negative double→size_t cast is UB and a fractional count
-/// would truncate silently.
-std::size_t as_count(const std::string& spec, const std::string& key,
-                     double v) {
-  // 2^30 caps the tree: beyond it the double→size_t cast risks UB and the
-  // simulator could never allocate per-processor state anyway.
-  NDF_CHECK_MSG(v >= 1.0 && v == std::floor(v) && v <= double(1 << 30),
-                "machine parameter '" << key << "' in '" << spec
-                                      << "' must be a positive integer <= 2^30"
-                                         ", got "
-                                      << v);
-  return std::size_t(v);
-}
-
-/// Cache sizes must be positive (σM = 0 degenerates the decomposition) and
-/// miss costs non-negative; reject here so a bad sweep spec fails at parse
-/// time with the parameter name, not mid-grid with an invariant message.
-double as_size(const std::string& spec, const std::string& key, double v) {
-  NDF_CHECK_MSG(v > 0.0, "machine parameter '" << key << "' in '" << spec
-                                               << "' must be > 0, got " << v);
-  return v;
-}
-
-double as_cost(const std::string& spec, const std::string& key, double v) {
-  NDF_CHECK_MSG(v >= 0.0, "machine parameter '"
-                              << key << "' in '" << spec
-                              << "' must be >= 0, got " << v);
-  return v;
-}
+std::string preset_names() { return spec::names(presets()); }
 
 }  // namespace
 
@@ -119,8 +45,8 @@ std::vector<PmhPresetInfo> pmh_presets() {
 }
 
 PmhConfig parse_pmh(const std::string& spec) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) {
+  const spec::Params p(spec, "machine");
+  if (!p.parametric()) {
     const auto it = presets().find(spec);
     NDF_CHECK_MSG(it != presets().end(),
                   "unknown machine preset '"
@@ -129,32 +55,27 @@ PmhConfig parse_pmh(const std::string& spec) {
                          "twotier:s=,c=,m1=,m2=,c1=,c2=)");
     return it->second.config;
   }
-  const std::string family = spec.substr(0, colon);
-  const std::string body = spec.substr(colon + 1);
-  if (family == "flat") {
-    const auto kv = parse_params(spec, body,
-                                 {{"p", 8}, {"m1", 768}, {"c1", 10}});
-    return PmhConfig::flat(as_count(spec, "p", kv.at("p")),
-                           as_size(spec, "m1", kv.at("m1")),
-                           as_cost(spec, "c1", kv.at("c1")));
+  // Counts are capped at 2^30: the simulator could never allocate
+  // per-processor state beyond it. Cache sizes must be positive (σM = 0
+  // degenerates the decomposition) and miss costs non-negative.
+  constexpr std::uint64_t kMaxCount = 1 << 30;
+  if (p.head() == "flat") {
+    p.allow({"p", "m1", "c1"});
+    const std::size_t procs = p.integer("p", 8, 1, kMaxCount);
+    const double m1 = p.real("m1", 768, true);
+    return PmhConfig::flat(procs, m1, p.real("c1", 10));
   }
-  if (family == "twotier") {
-    const auto kv = parse_params(spec, body,
-                                 {{"s", 2},
-                                  {"c", 4},
-                                  {"m1", 192},
-                                  {"m2", 3072},
-                                  {"c1", 3},
-                                  {"c2", 30}});
-    return PmhConfig::two_tier(as_count(spec, "s", kv.at("s")),
-                               as_count(spec, "c", kv.at("c")),
-                               as_size(spec, "m1", kv.at("m1")),
-                               as_size(spec, "m2", kv.at("m2")),
-                               as_cost(spec, "c1", kv.at("c1")),
-                               as_cost(spec, "c2", kv.at("c2")));
+  if (p.head() == "twotier") {
+    p.allow({"s", "c", "m1", "m2", "c1", "c2"});
+    const std::size_t sockets = p.integer("s", 2, 1, kMaxCount);
+    const std::size_t cores = p.integer("c", 4, 1, kMaxCount);
+    const double m1 = p.real("m1", 192, true);
+    const double m2 = p.real("m2", 3072, true);
+    const double c1 = p.real("c1", 3);
+    return PmhConfig::two_tier(sockets, cores, m1, m2, c1, p.real("c2", 30));
   }
   NDF_CHECK_MSG(false, "unknown machine family '"
-                           << family << "' in '" << spec
+                           << p.head() << "' in '" << spec
                            << "' (families: flat, twotier; presets: "
                            << preset_names() << ")");
   return {};  // unreachable

@@ -6,8 +6,8 @@
 //   "twotier:s=4,c=4,m1=192,m2=3072,c1=3,c2=30"
 //                                     — parametric two-tier machine
 //
-// Unknown preset names and unknown keys fail loudly, listing what exists
-// (the same contract as the scheduler registry).
+// Unknown preset names and keys fail loudly, listing what exists; the
+// grammar is README's "Spec grammar" (support/spec.hpp).
 #pragma once
 
 #include <string>

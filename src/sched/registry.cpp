@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
+
+#include "support/spec.hpp"
 
 namespace ndf {
 
@@ -46,11 +47,7 @@ void ensure_builtins() {
 // whatever happened to be registered at the time.
 std::string known_names() {
   ensure_builtins();
-  std::string s;
-  for (const auto& [name, entry] : table()) {
-    if (!s.empty()) s += ", ";
-    s += name;
-  }
+  const std::string s = spec::names(table());
   return s.empty() ? "<none>" : s;
 }
 
@@ -113,10 +110,7 @@ SchedStats run_scheduler(const std::string& name, const StrandGraph& g,
 
 std::vector<std::string> parse_sched_list(const std::string& csv) {
   std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : spec::split(csv, ',')) {
     NDF_CHECK_MSG(scheduler_registered(item),
                   "unknown scheduler '" << item << "' in --sched list "
                                         << "(registered: " << known_names()

@@ -2,125 +2,68 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "support/rng.hpp"
+#include "support/spec.hpp"
 
 namespace ndf::serve {
-
-namespace {
-
-double parse_double(const std::string& spec, const std::string& key,
-                    const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  NDF_CHECK_MSG(end && *end == '\0' && !val.empty() && std::isfinite(v),
-                "arrival parameter '" << key << "' in '" << spec
-                                      << "' is not a finite number: " << val);
-  return v;
-}
-
-std::size_t parse_count(const std::string& spec, const std::string& key,
-                        const std::string& val) {
-  char* end = nullptr;
-  const long long v = std::strtoll(val.c_str(), &end, 10);
-  NDF_CHECK_MSG(end && *end == '\0' && !val.empty() && v > 0,
-                "arrival parameter '" << key << "' in '" << spec
-                                      << "' is not a positive integer: "
-                                      << val);
-  return std::size_t(v);
-}
-
-}  // namespace
 
 std::string ArrivalSpec::label() const {
   std::ostringstream os;
   if (kind == "poisson") {
-    os << "poisson:rate=" << rate << ",jobs=" << jobs;
+    spec::write_real(os << "poisson:rate=", rate);
+    os << ",jobs=" << jobs;
     if (tenants != 1) os << ",tenants=" << tenants;
-    if (deadline != 0.0) os << ",deadline=" << deadline;
+    if (deadline != 0.0) spec::write_real(os << ",deadline=", deadline);
     if (seed != 42) os << ",seed=" << seed;
   } else {
     os << "closed:clients=" << clients << ",jobs=" << jobs;
-    if (think != 0.0) os << ",think=" << think;
-    if (deadline != 0.0) os << ",deadline=" << deadline;
+    if (think != 0.0) spec::write_real(os << ",think=", think);
+    if (deadline != 0.0) spec::write_real(os << ",deadline=", deadline);
   }
   return os.str();
 }
 
 ArrivalSpec parse_arrivals(const std::string& spec) {
+  const spec::Params p(spec, "arrival");
   ArrivalSpec a;
-  const auto colon = spec.find(':');
-  a.kind = spec.substr(0, colon);
+  a.kind = p.head();
   NDF_CHECK_MSG(a.kind == "poisson" || a.kind == "closed",
                 "unknown arrival kind '" << a.kind << "' in '" << spec
                                          << "' (valid: poisson, closed)");
-
-  // Same parameter discipline as workload/gen specs: duplicates and
-  // unknown keys are loud, and the full offending spec is always named.
-  std::set<std::string> seen;
-  bool have_rate = false, have_jobs = false, have_clients = false;
-  if (colon != std::string::npos) {
-    std::stringstream ss(spec.substr(colon + 1));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      const auto eq = item.find('=');
-      NDF_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "bad arrival parameter '" << item << "' in '" << spec
-                                              << "' (want key=value)");
-      const std::string key = item.substr(0, eq);
-      const std::string val = item.substr(eq + 1);
-      NDF_CHECK_MSG(seen.insert(key).second,
-                    "duplicate arrival parameter '" << key << "' in '" << spec
-                                                    << "'");
-      if (key == "jobs") {
-        a.jobs = parse_count(spec, key, val);
-        have_jobs = true;
-      } else if (key == "deadline") {
-        a.deadline = parse_double(spec, key, val);
-        NDF_CHECK_MSG(a.deadline >= 0.0, "arrival parameter 'deadline' in '"
-                                             << spec << "' must be >= 0");
-      } else if (a.kind == "poisson" && key == "rate") {
-        a.rate = parse_double(spec, key, val);
-        NDF_CHECK_MSG(a.rate > 0.0, "arrival parameter 'rate' in '"
-                                        << spec << "' must be > 0");
-        have_rate = true;
-      } else if (a.kind == "poisson" && key == "tenants") {
-        a.tenants = parse_count(spec, key, val);
-      } else if (a.kind == "poisson" && key == "seed") {
-        a.seed = std::uint64_t(parse_count(spec, key, val));
-      } else if (a.kind == "closed" && key == "clients") {
-        a.clients = parse_count(spec, key, val);
-        have_clients = true;
-      } else if (a.kind == "closed" && key == "think") {
-        a.think = parse_double(spec, key, val);
-        NDF_CHECK_MSG(a.think >= 0.0, "arrival parameter 'think' in '"
-                                          << spec << "' must be >= 0");
-      } else {
-        NDF_CHECK_MSG(false,
-                      "unknown arrival parameter '"
-                          << key << "' in '" << spec << "' (valid for "
-                          << a.kind << ": "
-                          << (a.kind == "poisson"
-                                  ? "rate, jobs, tenants, deadline, seed"
-                                  : "clients, jobs, think, deadline")
-                          << ")");
-      }
-    }
-  }
-  NDF_CHECK_MSG(have_jobs,
-                "arrival spec '" << spec << "' needs jobs=<count>");
-  if (a.kind == "poisson")
-    NDF_CHECK_MSG(have_rate,
-                  "arrival spec '" << spec << "' needs rate=<arrivals/time>");
+  const bool poisson = a.kind == "poisson";
+  if (poisson)
+    p.allow({"rate", "jobs", "tenants", "deadline", "seed"});
   else
-    NDF_CHECK_MSG(have_clients,
+    p.allow({"clients", "jobs", "think", "deadline"});
+  NDF_CHECK_MSG(p.has("jobs"),
+                "arrival spec '" << spec << "' needs jobs=<count>");
+  // A stream's job list is allocated up front (expand_open_arrivals) or
+  // grows to clients × jobs records: cap it where memory is certain.
+  constexpr std::uint64_t kMaxJobs = 1 << 20;
+  a.jobs = p.integer("jobs", 0, 1, kMaxJobs);
+  a.deadline = p.real("deadline", 0.0);
+  if (poisson) {
+    NDF_CHECK_MSG(p.has("rate"), "arrival spec '"
+                                     << spec
+                                     << "' needs rate=<arrivals/time>");
+    a.rate = p.real("rate", 0.0, true);
+    a.tenants = p.integer("tenants", 1, 1);
+    a.seed = p.integer("seed", a.seed);
+  } else {
+    NDF_CHECK_MSG(p.has("clients"),
                   "arrival spec '" << spec << "' needs clients=<count>");
+    a.clients = p.integer("clients", 1, 1, kMaxJobs);
+    NDF_CHECK_MSG(a.clients * a.jobs <= kMaxJobs,
+                  "arrival spec '" << spec << "' asks for clients x jobs = "
+                                   << a.clients * a.jobs
+                                   << " jobs, more than 2^20");
+    a.think = p.real("think", 0.0);
+  }
   return a;
 }
 
@@ -137,13 +80,12 @@ std::vector<JobSpec> parse_trace(std::istream& in,
 
     JobSpec j;
     j.index = jobs.size();
-    char* end = nullptr;
-    j.arrival = std::strtod(arrival_tok.c_str(), &end);
-    NDF_CHECK_MSG(end && *end == '\0' && std::isfinite(j.arrival) &&
-                      j.arrival >= 0.0,
+    const std::optional<double> arrival = spec::to_real(arrival_tok);
+    NDF_CHECK_MSG(arrival && *arrival >= 0.0,
                   "trace " << origin << ":" << lineno
                            << ": arrival time is not a finite number >= 0: '"
                            << arrival_tok << "' in line '" << line << "'");
+    j.arrival = *arrival;
 
     std::string spec_tok;
     NDF_CHECK_MSG(bool(ls >> j.tenant) && bool(ls >> spec_tok),
@@ -167,14 +109,13 @@ std::vector<JobSpec> parse_trace(std::istream& in,
                              << ": unexpected token '" << extra
                              << "' in line '" << line
                              << "' (only deadline=<t> may follow the spec)");
-      const std::string val = extra.substr(9);
-      j.deadline = std::strtod(val.c_str(), &end);
-      NDF_CHECK_MSG(end && *end == '\0' && !val.empty() &&
-                        std::isfinite(j.deadline) && j.deadline >= j.arrival,
+      const std::optional<double> deadline = spec::to_real(extra.substr(9));
+      NDF_CHECK_MSG(deadline && *deadline >= j.arrival,
                     "trace " << origin << ":" << lineno
                              << ": deadline must be a finite number >= the "
                                 "arrival time, got '"
                              << extra << "' in line '" << line << "'");
+      j.deadline = *deadline;
     }
     jobs.push_back(std::move(j));
   }

@@ -11,7 +11,7 @@
 //     simulated submit time, and deadline=<t> is an optional absolute
 //     completion deadline. Blank lines and `#` comments are skipped.
 //     Malformed lines fail loudly naming the file, line number and the
-//     offending text verbatim — the same contract as workload/gen specs.
+//     offending text verbatim.
 //
 //   - a seeded *distribution*, parsed from an `--arrivals=` spec:
 //
@@ -24,8 +24,8 @@
 //     `think` time units after their previous one completes, k jobs per
 //     client; its arrivals depend on service times, so the serve engine
 //     generates them during simulation. `deadline` is relative to submit
-//     time (0 = none). Unknown kinds/keys and duplicates fail loudly,
-//     naming the full offending spec verbatim.
+//     time (0 = none). `jobs`, and clients × jobs, are at most 2^20.
+//     README's "Spec grammar" (support/spec.hpp) gives the number rules.
 //
 // Everything here is deterministic: a trace is explicit, a poisson stream
 // is a pure function of (spec, mix), and tie-breaks downstream use the
@@ -70,6 +70,8 @@ struct ArrivalSpec {
   /// Canonical spec string (defaults omitted); round-trips through
   /// parse_arrivals.
   std::string label() const;
+
+  bool operator==(const ArrivalSpec&) const = default;
 };
 
 /// Parses an `--arrivals=` spec; throws CheckError on unknown kinds or

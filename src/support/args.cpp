@@ -1,5 +1,6 @@
 #include "support/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/check.hpp"
@@ -12,10 +13,12 @@ Args::Args(int argc, const char* const* argv) {
     NDF_CHECK_MSG(a.rfind("--", 0) == 0,
                   "unexpected positional argument '" << a << "'");
     const auto eq = a.find('=');
-    if (eq == std::string::npos)
-      kv_[a.substr(2)] = "true";
-    else
-      kv_[a.substr(2, eq - 2)] = a.substr(eq + 1);
+    const std::string name = a.substr(2, eq - 2);  // npos: the rest
+    const std::string value =
+        eq == std::string::npos ? "true" : a.substr(eq + 1);
+    // Keeping the last of a repeated flag would silently drop the others.
+    NDF_CHECK_MSG(kv_.emplace(name, value).second,
+                  "flag --" << name << " is given more than once");
   }
 }
 
@@ -36,9 +39,12 @@ long long Args::get(const std::string& name, long long dflt) const {
   const auto it = kv_.find(name);
   if (it == kv_.end()) return dflt;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
   NDF_CHECK_MSG(end && *end == '\0',
                 "flag --" << name << " is not an integer: " << it->second);
+  NDF_CHECK_MSG(errno != ERANGE,
+                "flag --" << name << " is out of range: " << it->second);
   return v;
 }
 

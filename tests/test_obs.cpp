@@ -40,6 +40,7 @@
 #include "sched/registry.hpp"
 #include "serve/engine.hpp"
 #include "serve/report.hpp"
+#include "support/spec.hpp"
 
 namespace ndf {
 namespace {
@@ -475,7 +476,7 @@ TEST(ChromeTrace, NumberFormatMatchesPrintfSearch) {  // O5
   std::size_t mismatches = 0;
   for (const double x : xs) {
     std::ostringstream os;
-    obs::write_num(os, x);
+    spec::write_real(os, x);
     const std::string want = printf_shortest(x);
     if (os.str() != want && ++mismatches <= 10)
       ADD_FAILURE() << "write_num gives " << os.str() << ", the printf "
