@@ -10,8 +10,10 @@
 # capped at 256), which is thrown from inside the grid runner, a --json or
 # --csv file that cannot be fully written (/dev/full; a bench driver's
 # table mirror as well as the sweep and serve emitters), the
-# examples/inspect_dag binary (when the examples are built), and specs or
-# flags the grammar rejects (README "Spec grammar").
+# examples/inspect_dag binary (when the examples are built), specs or
+# flags the grammar rejects (README "Spec grammar"), and in-range values
+# past the size caps: a sweep grid over 2^20 cells, a machine over 2^17
+# processors plus caches.
 #
 # Usage: scripts/check_bad_input.sh <build-dir>   (ctest: bad_input_exits_2)
 set -u
@@ -71,6 +73,14 @@ expect_exit_2 "flag --sched is given more than once" ndf_sweep --sched=sb \
     --sched=ws
 expect_exit_2 "flag --repeat is out of range" ndf_sweep \
     --repeat=99999999999999999999
+# In range, but past what can be allocated: the grid's cell count and a
+# machine's processors plus caches are bounded before anything is built.
+expect_exit_2 "more than 2^20 cells" ndf_sweep --preset=smoke \
+    --repeat=9223372036854775807
+expect_exit_2 "more than 2^17 in total" ndf_sweep --workloads=mm:n=8 \
+    --machines=twotier:s=1073741824,c=1073741824
+expect_exit_2 "more than 2^17 in total" ndf_sweep --workloads=mm:n=8 \
+    --machines=flat:p=1073741824
 expect_exit_2 "failed writing --json=/dev/full" ndf_sweep --preset=smoke \
     --json=/dev/full
 expect_exit_2 "failed writing --csv=/dev/full" ndf_serve --smoke \

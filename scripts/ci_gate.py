@@ -7,7 +7,9 @@ sweep   ndf_sweep smoke grid at --jobs=1 vs 4 (plain, --misses, explicit
         timed gate and stress grids. Writes BENCH_sweep_parallel.json
         and BENCH_cache_miss.json.
 serve   ndf_serve --soak timed at --jobs=1 vs 4 (every same-seed rerun must
-        equal the first), then --misses and traced. Writes BENCH_serve.json.
+        equal the first), then --misses and traced, then a trace-file
+        stream (written into the gate's directory) and a closed: stream at
+        --jobs=1 vs 4. Writes BENCH_serve.json.
 native  ndf_native --smoke, the 1-vs-4-thread scaling grid (which writes
         BENCH_native.json) and hard accounting-sanity bounds on it.
 
@@ -56,6 +58,15 @@ GATE_GRID = ("--name=perf-gate",
              "--machines=flat16;deep4x4;deep2x4;twotier:s=2,c=8;"
              "twotier:s=4,c=4",
              "--sched=sb,ws,greedy,serial", "--sigma=0.33", "--repeat=8")
+# The serve gate's trace-file stream: out of arrival order, with ties,
+# four tenants, optional deadlines and a repeated mix, so every job of a
+# spec shares the one workload the trace parser interned.
+SERVE_TRACE_MIX = ("mm:n=16", "lcs:n=64", "gen:family=wavefront,n=4",
+                   "trs:n=16,np", "gen:family=sp,depth=4,fan=3,seed=13")
+SERVE_CLOSED = ("--arrivals=closed:clients=6,jobs=40,think=300,"
+                "deadline=60000",
+                "--workloads=" + ";".join(SERVE_TRACE_MIX),
+                "--machines=deep2x4;flat16", "--sched=sb,edf,ws")
 STRESS_MACHINES = ("--machines=flat16;deep4x4;deep2x4;twotier:s=2,c=8;flat8;"
                    "twotier:s=4,c=4;twotier:s=8,c=2")
 
@@ -328,6 +339,18 @@ def gate_sweep(g):
     speedup_verdict(grid_results(recs, host), MIN_SPEEDUP["sweep"])
 
 
+def serve_trace(path):
+    """Writes the gate's trace-file stream (240 jobs) to `path`."""
+    with open(path, "w") as f:
+        f.write("# ci_gate.py serve: trace-file stream\n")
+        for i in range(240):
+            arrival = (i * 7 % 120) * 20000
+            deadline = (f" deadline={arrival + 30000 * (1 + i % 4)}"
+                        if i % 5 else "")
+            spec = SERVE_TRACE_MIX[i % len(SERVE_TRACE_MIX)]
+            f.write(f"{arrival} tenant{i % 4} {spec}{deadline}\n")
+
+
 def gate_serve(g):
     g.require("ndf_serve")
     rec, host = timed_on_host(
@@ -336,6 +359,11 @@ def gate_serve(g):
            "--misses")
     g.traced("ndf_serve", "soak", "soak grid", {"job", "queue", "unit"},
              "--soak")
+    trace = g.path("stream.trace")
+    serve_trace(trace)
+    g.pair("ndf_serve", "trace", "trace-file stream", f"--trace={trace}",
+           "--machines=deep2x4;flat16", "--sched=sb,edf,ws", "--misses")
+    g.pair("ndf_serve", "closed", "closed-loop stream", *SERVE_CLOSED)
     g.write_bench("BENCH_serve.json", {
         "bench": "serve_soak", "jobs": JOBS,
         "min_speedup": MIN_SPEEDUP["serve"], "timing": TIMING,

@@ -1,5 +1,8 @@
 #include "exp/scenario.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "pmh/presets.hpp"
 #include "sched/condensed_dag.hpp"
 #include "sched/registry.hpp"
@@ -45,6 +48,20 @@ void validate(const Scenario& s) {
                                << "'");
   NDF_CHECK_MSG(!s.cache_models.empty(),
                 "scenario '" << s.name << "' has no cache models");
+  // The grid is expanded (and reserved) point by point: bound the product
+  // of its axes, all non-empty by now, before anything multiplies it out.
+  constexpr std::size_t kMaxCells = std::size_t(1) << 20;
+  std::size_t points = 1;  // per repeat; saturates just past the cap
+  for (const std::size_t axis :
+       {s.workloads.size(), s.sigmas.size(), s.machines.size(),
+        s.cache_models.size(), s.alpha_primes.size(), s.policies.size()})
+    points = std::min(points * axis, kMaxCells + 1);
+  NDF_CHECK_MSG(points <= kMaxCells && s.repeats <= kMaxCells / points,
+                "scenario '" << s.name << "' asks for " << s.repeats
+                             << " repeats of "
+                             << (points > kMaxCells ? std::string("over 2^20")
+                                                    : std::to_string(points))
+                             << " grid points, more than 2^20 cells");
   for (const CacheModelSpec& cm : s.cache_models)
     NDF_CHECK_MSG(cache_repl_registered(cm.repl),
                   "scenario '" << s.name

@@ -1,8 +1,11 @@
 #include "exp/workload.hpp"
 
+#include <deque>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "algos/cholesky.hpp"
@@ -41,7 +44,54 @@ const std::map<std::string, Builder>& builders() {
 
 std::string known_workloads() { return spec::names(builders()); }
 
+/// The process-wide intern table. Entries live in a deque, which never
+/// moves an element on push_back, and are never erased. The index maps a
+/// label to the entries carrying it: specs with equal fields print equal
+/// labels, but a spec built past the parser can share a label with a
+/// different one, so a label match is confirmed field by field.
+struct InternTable {
+  std::mutex mu;
+  std::deque<WorkloadRef::Entry> entries;
+  std::unordered_multimap<std::string, const WorkloadRef::Entry*> by_label;
+  /// WorkloadSpec{}'s entry: set once, then read without the lock.
+  const WorkloadRef::Entry* empty;
+
+  InternTable() {
+    const WorkloadSpec d;
+    empty = &entries.emplace_back(WorkloadRef::Entry{d, d.label()});
+    by_label.emplace(empty->label, empty);
+  }
+};
+
+InternTable& intern_table() {
+  // Leaked on purpose: handles in static-storage records must stay valid
+  // through every static destructor.
+  static InternTable* t = new InternTable;
+  return *t;
+}
+
 }  // namespace
+
+WorkloadRef::WorkloadRef() : entry_(intern_table().empty) {}
+
+WorkloadRef intern(const WorkloadSpec& spec) {
+  std::string label = spec.label();
+  InternTable& t = intern_table();
+  const std::lock_guard<std::mutex> lock(t.mu);
+  const auto [b, e] = t.by_label.equal_range(label);
+  for (auto it = b; it != e; ++it)
+    if (it->second->spec == spec) return WorkloadRef(it->second);
+  const WorkloadRef::Entry* fresh =
+      &t.entries.emplace_back(WorkloadRef::Entry{spec, std::move(label)});
+  t.by_label.emplace(fresh->label, fresh);
+  return WorkloadRef(fresh);
+}
+
+std::size_t interned_count() {
+  InternTable& t = intern_table();
+  const std::lock_guard<std::mutex> lock(t.mu);
+  return t.entries.size();
+}
 
 std::string WorkloadSpec::label() const {
   if (algo == "gen") {

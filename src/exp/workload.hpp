@@ -13,6 +13,15 @@
 // baseline) instead of the nested-dataflow one. The grammar and its
 // rejections are README's "Spec grammar" (support/spec.hpp). Specs
 // round-trip through WorkloadSpec::label(), the key of sweep outputs.
+//
+// Code that carries a spec per item of a long stream (serve jobs) holds a
+// WorkloadRef instead: a pointer-sized handle to an interned, immutable
+// copy of the spec and its label. It keeps a serve::JobSpec at 64 bytes
+// and a JobRecord at 144 on LP64, where a 144-byte WorkloadSpec inline
+// made them 200 and 280 (serve/arrivals.hpp). The intern table lives for
+// the whole process and never moves or frees an entry, so a handle stays
+// valid in any record that outlives the run that made it; copying one
+// touches no refcount and takes no lock. Only exp::intern() locks.
 #pragma once
 
 #include <memory>
@@ -43,6 +52,42 @@ struct WorkloadSpec {
   /// Field-wise; equal specs have equal labels.
   bool operator==(const WorkloadSpec&) const = default;
 };
+
+/// A handle to an interned WorkloadSpec (see the file comment). Equal
+/// specs intern to one handle, so handles compare by identity. A
+/// default-constructed handle refers to the interned `WorkloadSpec{}`,
+/// never to null. Handle addresses are not stable across runs: nothing
+/// may order or print by them.
+class WorkloadRef {
+ public:
+  WorkloadRef();
+
+  const WorkloadSpec& operator*() const { return entry_->spec; }
+  const WorkloadSpec* operator->() const { return &entry_->spec; }
+  /// The spec's label(), formatted once when it was interned.
+  const std::string& label() const { return entry_->label; }
+
+  bool operator==(const WorkloadRef&) const = default;
+
+  /// One interned spec with its label; immutable once published.
+  struct Entry {
+    WorkloadSpec spec;
+    std::string label;
+  };
+
+ private:
+  friend WorkloadRef intern(const WorkloadSpec& spec);
+  explicit WorkloadRef(const Entry* e) : entry_(e) {}
+  const Entry* entry_;
+};
+
+/// The handle of `spec`, interning a copy on first use (takes a mutex; safe
+/// from any thread). Throws CheckError if the spec cannot be labelled (a
+/// gen spec without generator parameters).
+WorkloadRef intern(const WorkloadSpec& spec);
+
+/// Number of distinct specs interned so far, the default one included.
+std::size_t interned_count();
 
 struct WorkloadInfo {
   std::string name;

@@ -5,13 +5,43 @@
 
 namespace ndf::obs {
 
+namespace {
+
+/// 0-based position of the rank-⌈qN⌉ element (clamped to [1, N]); N > 0.
+std::size_t rank_index(std::size_t size, double q) {
+  const std::size_t rank =
+      std::size_t(std::max(1.0, std::ceil(q * double(size))));
+  return std::min(rank, size) - 1;
+}
+
+}  // namespace
+
 double nearest_rank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
-  const double n = double(sorted.size());
-  const std::size_t rank =
-      std::size_t(std::max(1.0, std::ceil(q * n)));
-  return sorted[std::min(rank, sorted.size()) - 1];
+  return sorted[rank_index(sorted.size(), q)];
 }
+
+template <std::size_t K>
+std::array<double, K> nearest_ranks(std::vector<double>& sample,
+                                    const std::array<double, K>& qs) {
+  std::array<double, K> out{};
+  if (sample.empty()) return out;
+  // Everything from `from` on is >= every value already placed.
+  auto from = sample.begin();
+  for (std::size_t i = 0; i < K; ++i) {
+    const auto at =
+        sample.begin() + std::ptrdiff_t(rank_index(sample.size(), qs[i]));
+    if (at >= from) {
+      std::nth_element(from, at, sample.end());
+      from = at + 1;
+    }
+    out[i] = *at;
+  }
+  return out;
+}
+
+template std::array<double, 3> nearest_ranks(std::vector<double>&,
+                                             const std::array<double, 3>&);
 
 namespace {
 

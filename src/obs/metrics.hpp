@@ -6,8 +6,8 @@
 // bucket holding the rank-⌈qN⌉ sample, so for any positive sample it
 // satisfies  exact ≤ returned < 2·exact  with O(1) memory — good enough
 // for heartbeats and long soak streams where keeping every latency is not.
-// The serve summaries keep both: exact percentiles from the sorted sample
-// (via nearest_rank below) and the histograms under the JSON `metrics` key.
+// The serve summaries keep both: exact percentiles selected from the sample
+// (via nearest_ranks below) and the histograms under the JSON `metrics` key.
 #pragma once
 
 #include <array>
@@ -26,6 +26,14 @@ namespace ndf::obs {
 /// shared implementation behind every reported percentile (serve latency
 /// summaries and histogram tests alike).
 double nearest_rank(const std::vector<double>& sorted, double q);
+
+/// nearest_rank(sorted sample, qs[i]) for every i, without sorting: each
+/// rank is placed by std::nth_element, each later one within the tail the
+/// earlier left, so the cost is O(N) per quantile rather than a sort.
+/// `qs` must be ascending. Reorders `sample`; all zeros when it is empty.
+template <std::size_t K>
+std::array<double, K> nearest_ranks(std::vector<double>& sample,
+                                    const std::array<double, K>& qs);
 
 /// Streaming histogram over power-of-two buckets: bucket e counts samples
 /// in (2^(e-1), 2^e], exponents clamped to [kMinExp, kMaxExp]; zero and

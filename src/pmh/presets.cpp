@@ -55,13 +55,23 @@ PmhConfig parse_pmh(const std::string& spec) {
                          "twotier:s=,c=,m1=,m2=,c1=,c2=)");
     return it->second.config;
   }
-  // Counts are capped at 2^30: the simulator could never allocate
-  // per-processor state beyond it. Cache sizes must be positive (σM = 0
-  // degenerates the decomposition) and miss costs non-negative.
+  // Counts are capped at 2^30, and the machine's processors plus caches
+  // at 2^17 in total: the simulator allocates state per processor and per
+  // cache, so the products must be bounded, not each count (65,536
+  // processors already take seconds per run). Cache sizes must be
+  // positive (σM = 0 degenerates the decomposition) and miss costs
+  // non-negative.
   constexpr std::uint64_t kMaxCount = 1 << 30;
+  const auto check_units = [&](std::uint64_t procs, std::uint64_t caches) {
+    NDF_CHECK_MSG(procs + caches <= (1 << 17),
+                  "machine '" << spec << "' has " << procs
+                              << " processors and " << caches
+                              << " caches, more than 2^17 in total");
+  };
   if (p.head() == "flat") {
     p.allow({"p", "m1", "c1"});
     const std::size_t procs = p.integer("p", 8, 1, kMaxCount);
+    check_units(procs, procs);
     const double m1 = p.real("m1", 768, true);
     return PmhConfig::flat(procs, m1, p.real("c1", 10));
   }
@@ -69,6 +79,7 @@ PmhConfig parse_pmh(const std::string& spec) {
     p.allow({"s", "c", "m1", "m2", "c1", "c2"});
     const std::size_t sockets = p.integer("s", 2, 1, kMaxCount);
     const std::size_t cores = p.integer("c", 4, 1, kMaxCount);
+    check_units(sockets * cores, sockets * cores + sockets);
     const double m1 = p.real("m1", 192, true);
     const double m2 = p.real("m2", 3072, true);
     const double c1 = p.real("c1", 3);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "support/rng.hpp"
@@ -70,6 +71,9 @@ ArrivalSpec parse_arrivals(const std::string& spec) {
 std::vector<JobSpec> parse_trace(std::istream& in,
                                  const std::string& origin) {
   std::vector<JobSpec> jobs;
+  // A trace repeats a few specs: each distinct spec text is parsed and
+  // interned once.
+  std::unordered_map<std::string, exp::WorkloadRef> by_text;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -94,7 +98,12 @@ std::vector<JobSpec> parse_trace(std::istream& in,
                               "[deadline=<t>]', got '"
                            << line << "'");
     try {
-      j.workload = exp::parse_workload(spec_tok);
+      auto it = by_text.find(spec_tok);
+      if (it == by_text.end())
+        it = by_text
+                 .emplace(spec_tok, exp::intern(exp::parse_workload(spec_tok)))
+                 .first;
+      j.workload = it->second;
     } catch (const CheckError& e) {
       // Re-throw with the trace location; the workload parser's message
       // already names the offending spec verbatim.
@@ -145,6 +154,14 @@ std::vector<JobSpec> expand_open_arrivals(
                                   << spec.label()
                                   << "' needs a non-empty workload mix "
                                      "(--workloads=...)");
+  // Workloads and tenants are dealt round-robin: each is interned or
+  // named once.
+  std::vector<exp::WorkloadRef> refs;
+  refs.reserve(mix.size());
+  for (const exp::WorkloadSpec& w : mix) refs.push_back(exp::intern(w));
+  std::vector<std::string> tenants(std::min(spec.tenants, spec.jobs), "t");
+  for (std::size_t t = 0; t < tenants.size(); ++t)
+    tenants[t] += std::to_string(t);
   std::vector<JobSpec> jobs;
   jobs.reserve(spec.jobs);
   Rng rng(spec.seed);
@@ -155,9 +172,8 @@ std::vector<JobSpec> expand_open_arrivals(
     t += -std::log(1.0 - rng.uniform()) / spec.rate;
     JobSpec j;
     j.index = i;
-    j.tenant = "t";
-    j.tenant += std::to_string(i % spec.tenants);
-    j.workload = mix[i % mix.size()];
+    j.tenant = tenants[i % spec.tenants];
+    j.workload = refs[i % refs.size()];
     j.arrival = t;
     if (spec.deadline > 0.0) j.deadline = t + spec.deadline;
     jobs.push_back(std::move(j));

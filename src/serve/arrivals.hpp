@@ -30,6 +30,13 @@
 // Everything here is deterministic: a trace is explicit, a poisson stream
 // is a pure function of (spec, mix), and tie-breaks downstream use the
 // submission index carried by every JobSpec.
+//
+// Memory layout: a stream of 2^20 jobs is copied into one JobRecord per
+// job and cell, so a JobSpec carries its workload as an exp::WorkloadRef
+// (8 bytes, exp/workload.hpp) rather than a full 144-byte WorkloadSpec:
+// a JobSpec is 64 bytes on LP64 and a JobRecord (serve/engine.hpp) 144.
+// The parsers intern each distinct spec once. Interned specs live for the
+// whole process, so records stay valid after the sweep that made them.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +53,7 @@ namespace ndf::serve {
 struct JobSpec {
   std::size_t index = 0;  ///< submission index; the deterministic tie-break
   std::string tenant;     ///< tenant id ("t0"... or the trace's name)
-  exp::WorkloadSpec workload;
+  exp::WorkloadRef workload;  ///< interned spec (see the file comment)
   double arrival = 0.0;   ///< absolute simulated submit time
   /// Absolute completion deadline; +inf = none.
   double deadline = std::numeric_limits<double>::infinity();

@@ -1,9 +1,11 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "exp/grid.hpp"
@@ -16,55 +18,50 @@ namespace ndf::serve {
 
 namespace {
 
-// Nearest-rank percentiles (docs/metrics.md) come from the shared tested
-// implementation in obs/metrics.hpp — byte-identical to the formula that
-// used to live here.
-using obs::nearest_rank;
-
 /// The resolved, deterministic inputs every cell shares: job streams with
 /// workload/tenant ids resolved, and the occupancy namespace geometry.
 /// Immutable during the fan-out.
 struct StreamPlan {
   /// Distinct workloads across the stream + mix, by first use.
-  std::vector<exp::WorkloadSpec> specs;
+  std::vector<exp::WorkloadRef> refs;
   std::vector<std::size_t> job_widx;  ///< open jobs: workload index
   std::vector<std::size_t> mix_widx;  ///< closed mix: workload index
   /// Open jobs: tenant id by first appearance in the (sorted) input
   /// stream — execution-order-independent, so every policy agrees.
   std::vector<std::size_t> job_tenant;
   std::size_t num_tenants = 0;
-
-  /// The workload index of `w`. A stream repeats a few specs, so `w` is
-  /// first matched field by field against the specs already interned
-  /// (equal fields print equal labels); only a spec not seen before has
-  /// its label formatted, and a new label makes a new workload. Every
-  /// distinct spec is also built and condensed, which dwarfs the scan.
-  std::size_t intern(const exp::WorkloadSpec& w,
-                     std::map<std::string, std::size_t>& by_label) {
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      if (specs[i] == w) return i;
-    const auto [it, fresh] = by_label.emplace(w.label(), specs.size());
-    if (fresh) specs.push_back(w);
-    return it->second;
-  }
 };
 
 StreamPlan plan_stream(const ServeScenario& s) {
   StreamPlan plan;
-  std::map<std::string, std::size_t> by_label;
-  std::map<std::string, std::size_t> tenant_ids;
+  // Equal specs share a handle, so a handle seen before is found by its
+  // address. A new handle whose label an earlier one already printed (a
+  // spec built past the parser, differing only in fields the label
+  // omits) joins that earlier workload.
+  std::unordered_map<const exp::WorkloadSpec*, std::size_t> by_ref;
+  std::unordered_map<std::string, std::size_t> by_label;
+  const auto widx = [&](exp::WorkloadRef w) {
+    const auto [it, fresh] = by_ref.try_emplace(&*w, plan.refs.size());
+    if (!fresh) return it->second;
+    const auto [lit, new_label] = by_label.emplace(w.label(), it->second);
+    if (new_label) plan.refs.push_back(w);
+    return it->second = lit->second;
+  };
+  std::unordered_map<std::string, std::size_t> tenants;
   plan.job_widx.reserve(s.jobs.size());
   plan.job_tenant.reserve(s.jobs.size());
   for (const JobSpec& j : s.jobs) {
-    plan.job_widx.push_back(plan.intern(j.workload, by_label));
-    plan.job_tenant.push_back(
-        tenant_ids.emplace(j.tenant, tenant_ids.size()).first->second);
+    plan.job_widx.push_back(widx(j.workload));
+    // find() first: emplace() would build a node for every job.
+    auto t = tenants.find(j.tenant);
+    if (t == tenants.end()) t = tenants.emplace(j.tenant, tenants.size()).first;
+    plan.job_tenant.push_back(t->second);
   }
   plan.mix_widx.reserve(s.mix.size());
   for (const exp::WorkloadSpec& w : s.mix)
-    plan.mix_widx.push_back(plan.intern(w, by_label));
+    plan.mix_widx.push_back(widx(exp::intern(w)));
   plan.num_tenants =
-      s.closed ? s.closed->clients : std::max<std::size_t>(tenant_ids.size(), 1);
+      s.closed ? s.closed->clients : std::max<std::size_t>(tenants.size(), 1);
   return plan;
 }
 
@@ -93,13 +90,14 @@ class CellRunner {
         policy_(policy),
         dags_(dags),
         sink_(sink),
-        edf_(scheduler_deadline_aware(policy)) {
+        edf_(scheduler_deadline_aware(policy)),
+        tenants_(plan.num_tenants) {
     // A job's stats depend on its seed only under a seeded policy, on the
     // jobs before it only through persistent occupancy, and a traced cell
     // must record every job's events; otherwise every job of a workload
     // runs the same simulation, so the first one's stats serve them all.
     if (!scheduler_seeded(policy) && !s.measure_misses && sink == nullptr)
-      memo_.resize(plan.specs.size());
+      memo_.resize(plan.refs.size());
   }
 
   /// Runs the cell; returns the number of simulations it took.
@@ -129,9 +127,8 @@ class CellRunner {
       const std::int64_t jid = std::int64_t(job.index);
       sink_->on_job(obs::JobEvent::kArrival, job.arrival, jid,
                     std::uint32_t(tenant_id), job.tenant.c_str());
-      const std::string wlabel = job.workload.label();
       sink_->on_job(obs::JobEvent::kAdmit, now, jid,
-                    std::uint32_t(tenant_id), wlabel.c_str());
+                    std::uint32_t(tenant_id), job.workload.label().c_str());
     }
     // A memoizing cell simulates only a workload's first job; the stats
     // are read in place, as a copy would allocate per job.
@@ -144,7 +141,7 @@ class CellRunner {
           simulate(job, widx, tenant_id, job_sink));
     const SchedStats& stats = memo_.empty() ? fresh : *memo_[widx];
 
-    JobRecord rec;
+    JobRecord& rec = cell.jobs.emplace_back();
     rec.job = job;
     rec.start = now;
     rec.service = stats.makespan;
@@ -172,9 +169,10 @@ class CellRunner {
         sink_->on_job(obs::JobEvent::kDeadlineMiss, rec.completion, jid,
                       std::uint32_t(tenant_id), "");
     }
-    const double completion = rec.completion;
-    cell.jobs.push_back(std::move(rec));
-    return completion;
+    Tenant& t = tenants_[tenant_id];
+    t.served = true;
+    t.service += rec.service;
+    return rec.completion;
   }
 
   /// Simulates `job` alone on the machine, tracing into `sink` if set.
@@ -191,7 +189,7 @@ class CellRunner {
     // jobs can hit warm lines (engine.hpp, "Measured occupancy").
     opts.keep_occupancy = s_.measure_misses;
     opts.occ_task_base =
-        std::int64_t(tenant_id * plan_.specs.size() + widx) << 32;
+        std::int64_t(tenant_id * plan_.refs.size() + widx) << 32;
     opts.seed = s_.base_seed + job.index;
     opts.sink = sink;
 
@@ -244,6 +242,8 @@ class CellRunner {
     // k·clients + c, the deterministic tie-break for the time-0 burst.
     std::vector<double> ready(clients, 0.0);
     std::vector<std::size_t> done(clients, 0);
+    std::vector<std::string> tenant(clients, "t");
+    for (std::size_t c = 0; c < clients; ++c) tenant[c] += std::to_string(c);
     double now = 0.0;
     for (std::size_t served = 0; served < clients * spec.jobs; ++served) {
       bool any = false;
@@ -257,7 +257,7 @@ class CellRunner {
       // Admission scans the waiting clients' keys; with <= a few thousand
       // clients the O(clients) pass per job is noise next to the DAG
       // simulation it admits. Only the admitted job gets its tenant and
-      // workload filled in.
+      // workload (the plan's handle) filled in.
       std::size_t c = clients;
       JobSpec best, next;
       for (std::size_t k = 0; k < clients; ++k) {
@@ -272,10 +272,8 @@ class CellRunner {
       }
       const std::size_t widx =
           plan_.mix_widx[best.index % plan_.mix_widx.size()];
-      std::string tenant = "t";
-      tenant += std::to_string(c);
-      best.tenant = std::move(tenant);
-      best.workload = plan_.specs[widx];
+      best.tenant = tenant[c];
+      best.workload = plan_.refs[widx];
       now = execute(now, best, widx, c, cell);
       ready[c] = now + spec.think;
       ++done[c];
@@ -292,7 +290,6 @@ class CellRunner {
     if (cell.jobs.empty()) return;  // idle service: zeros, fairness 1
     std::vector<double> latencies;
     latencies.reserve(cell.jobs.size());
-    std::map<std::string, double> share;
     double busy_weighted = 0.0, lat_total = 0.0;
     for (const JobRecord& r : cell.jobs) {
       sum.horizon = std::max(sum.horizon, r.completion);
@@ -301,7 +298,6 @@ class CellRunner {
       lat_hist.record(r.latency);
       wait_hist.record(r.start - r.job.arrival);
       busy_weighted += r.utilization * r.service;
-      share[r.job.tenant] += r.service;
       if (r.job.has_deadline()) {
         ++sum.with_deadline;
         if (!r.deadline_met) ++sum.deadline_misses;
@@ -318,25 +314,27 @@ class CellRunner {
       sum.throughput = double(sum.completed) / sum.horizon;
       sum.utilization = busy_weighted / sum.horizon;
     }
-    std::sort(latencies.begin(), latencies.end());
     sum.latency_mean = lat_total / double(latencies.size());
-    sum.latency_p50 = nearest_rank(latencies, 0.50);
-    sum.latency_p99 = nearest_rank(latencies, 0.99);
-    sum.latency_p999 = nearest_rank(latencies, 0.999);
-    sum.latency_max = latencies.back();
-    sum.tenants = share.size();
-    if (share.size() > 1) {
-      double lo = share.begin()->second, hi = lo;
-      for (const auto& [tenant, sv] : share) {
-        lo = std::min(lo, sv);
-        hi = std::max(hi, sv);
-      }
-      // A zero-service tenant makes the share ratio infinite; the JSON
-      // emitter maps that to null (no finite skew exists).
-      sum.fairness =
-          lo > 0.0 ? hi / lo
-                   : std::numeric_limits<double>::infinity();
+    sum.latency_max = *std::max_element(latencies.begin(), latencies.end());
+    const std::array<double, 3> p =
+        obs::nearest_ranks(latencies, std::array{0.50, 0.99, 0.999});
+    sum.latency_p50 = p[0];
+    sum.latency_p99 = p[1];
+    sum.latency_p999 = p[2];
+    // Fairness is a min/max over the tenants that completed a job, so the
+    // order they are visited in does not matter.
+    double lo = std::numeric_limits<double>::infinity(), hi = 0.0;
+    for (const Tenant& t : tenants_) {
+      if (!t.served) continue;
+      ++sum.tenants;
+      lo = std::min(lo, t.service);
+      hi = std::max(hi, t.service);
     }
+    // A zero-service tenant makes the share ratio infinite; the JSON
+    // emitter maps that to null (no finite skew exists).
+    if (sum.tenants > 1)
+      sum.fairness =
+          lo > 0.0 ? hi / lo : std::numeric_limits<double>::infinity();
   }
 
   const ServeScenario& s_;
@@ -354,6 +352,13 @@ class CellRunner {
   std::unique_ptr<Scheduler> sched_;
   std::vector<double> cum_misses_;  // occupancy counters are cumulative
   double cum_comm_ = 0.0;
+  /// Service share of each tenant id (StreamPlan::job_tenant, or the
+  /// closed-loop client), accumulated as jobs complete.
+  struct Tenant {
+    double service = 0.0;
+    bool served = false;  ///< completed at least one job
+  };
+  std::vector<Tenant> tenants_;
   /// Per workload index, the stats of its first job when the cell
   /// memoizes (see the constructor); empty when every job simulates.
   std::vector<std::unique_ptr<SchedStats>> memo_;
@@ -431,14 +436,15 @@ const std::vector<ServeCell>& ServeSweep::run() {
 
   // Every cell serves the same stream, so every (σ, profile) pair needs
   // every workload's condensation: the key table is dense, profile-major.
-  const std::size_t W = plan.specs.size();
+  const std::size_t W = plan.refs.size();
   const std::size_t S = scenario_.sigmas.size();
   const std::size_t P = scenario_.policies.size();
   exp::GridPlan gp;
   gp.name = scenario_.name;
   gp.progress = scenario_.progress;
   gp.jobs = jobs_;
-  gp.workloads = plan.specs;
+  gp.workloads.reserve(W);
+  for (const exp::WorkloadRef& w : plan.refs) gp.workloads.push_back(*w);
   gp.sigmas = scenario_.sigmas;
   for (const std::vector<double>& sizes : profiles.sizes)
     for (std::size_t g = 0; g < S; ++g)

@@ -87,7 +87,9 @@ struct ServeScenario {
   bool progress = false;
 };
 
-/// One served job: the resolved spec plus its service trajectory.
+/// One served job: the resolved spec plus its service trajectory. 144
+/// bytes on LP64 (the JobSpec's 64 with its interned workload handle,
+/// serve/arrivals.hpp, plus 80): one is written per job and cell.
 struct JobRecord {
   JobSpec job;
   double start = 0.0;       ///< admission (= execution start) time

@@ -26,14 +26,20 @@
 //   X8  failures inside the runner surface as loud CheckErrors at every
 //       --jobs, without poisoning the Sweep into a fake empty success — a
 //       failed run reports zero condensations and retries from scratch
+//   X9  workload interning: equal specs share one handle, distinct specs
+//       get distinct ones, labels round-trip, a default handle is the
+//       interned empty spec, and concurrent interning of one spec list
+//       leaves exactly one entry per distinct spec
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
+#include <thread>
 
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
@@ -228,6 +234,16 @@ TEST(Scenario, ValidationRejectsBadAxes) {  // X2
   s = small_scenario();
   s.machines = {"bogus-machine"};
   EXPECT_THROW(exp::validate(s), CheckError);  // specs parse at validation
+  // The grid's cell count is bounded before anything is expanded, even
+  // when repeats x points overflows 64 bits.
+  s = small_scenario();
+  const std::size_t points = exp::grid_size(s) / s.repeats;
+  s.repeats = (std::size_t(1) << 20) / points + 1;
+  EXPECT_THROW(exp::validate(s), CheckError);
+  s.repeats = std::size_t(1) << 63;
+  EXPECT_THROW(exp::validate(s), CheckError);
+  s.repeats = (std::size_t(1) << 20) / points;
+  EXPECT_NO_THROW(exp::validate(s));
 }
 
 TEST(Sweep, FailedRunDoesNotPoisonIntoEmptySuccess) {  // X2
@@ -894,6 +910,67 @@ TEST(Sweep, WorkerStatsCountThePoolWorkers) {  // X7
   for (const ThreadPool::WorkerStats& w : pooled.worker_stats())
     tasks += w.tasks;
   EXPECT_GT(tasks, 0u);
+}
+
+TEST(Workload, InternedHandlesFollowSpecEquality) {  // X9
+  const exp::WorkloadRef a = exp::intern(exp::parse_workload("mm:n=24"));
+  const exp::WorkloadRef b = exp::intern(exp::parse_workload("mm:n=24"));
+  const exp::WorkloadRef c = exp::intern(exp::parse_workload("mm:n=24,np"));
+  const exp::WorkloadRef g =
+      exp::intern(exp::parse_workload("gen:family=sp,depth=3,fan=2,seed=9"));
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == c);
+  EXPECT_FALSE(a == g);
+  EXPECT_EQ(a.label(), "mm:n=24");
+  EXPECT_EQ(c.label(), "mm:n=24,np");
+  EXPECT_EQ(a->n, 24u);
+  EXPECT_TRUE(c->np);
+  for (const exp::WorkloadRef& r : {a, c, g}) {
+    EXPECT_EQ(r.label(), r->label());
+    EXPECT_EQ(exp::parse_workload(r.label()), *r) << r.label();
+    EXPECT_TRUE(exp::intern(exp::parse_workload(r.label())) == r)
+        << r.label();
+  }
+  // Same label, different fields (a spec built past the parser): distinct
+  // specs, distinct handles.
+  exp::WorkloadSpec odd = *g;
+  odd.base = 16;
+  ASSERT_EQ(odd.label(), g.label());
+  EXPECT_FALSE(exp::intern(odd) == g);
+  EXPECT_TRUE(exp::intern(odd) == exp::intern(odd));
+  // The default handle is the interned empty spec, never null.
+  const exp::WorkloadRef d;
+  EXPECT_EQ(*d, exp::WorkloadSpec{});
+  EXPECT_TRUE(d == exp::intern(exp::WorkloadSpec{}));
+  EXPECT_EQ(d.label(), exp::WorkloadSpec{}.label());
+}
+
+TEST(Workload, ConcurrentInterningKeepsOneEntryPerSpec) {  // X9
+  // Sizes no other test interns, so the table grows by exactly the
+  // distinct specs of this list.
+  std::vector<exp::WorkloadSpec> list;
+  for (std::size_t i = 0; i < 40; ++i)
+    list.push_back(exp::parse_workload(
+        (i % 2 ? "lcs:n=" : "trs:n=") + std::to_string(1000 + i % 10) +
+        (i % 4 < 2 ? "" : ",np")));
+  std::set<std::string> distinct;
+  for (const exp::WorkloadSpec& w : list) distinct.insert(w.label());
+  const std::size_t before = exp::interned_count();
+  std::vector<std::vector<exp::WorkloadRef>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&list, &out = got[t], t] {
+      for (std::size_t i = 0; i < list.size(); ++i)
+        out.push_back(exp::intern(list[(i + 7 * t) % list.size()]));
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(exp::interned_count() - before, distinct.size());
+  for (std::size_t t = 0; t < got.size(); ++t)
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const exp::WorkloadRef& r = got[t][i];
+      EXPECT_TRUE(r == got[0][(i + 7 * t) % list.size()]) << t << " " << i;
+      EXPECT_EQ(*r, list[(i + 7 * t) % list.size()]);
+    }
 }
 
 TEST(Report, EmittersProduceWellFormedOutput) {  // X6

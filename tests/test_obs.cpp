@@ -1,5 +1,6 @@
 // Tests for the observability subsystem (src/obs/):
-//   O1  metrics: nearest_rank matches the legacy inline percentile formula;
+//   O1  metrics: nearest_rank matches the legacy inline percentile formula,
+//       and the selection-based nearest_ranks matches sort + nearest_rank;
 //       Log2Histogram bucket edges, zero bucket, the exact ≤ p < 2·exact
 //       percentile bound, merge, and JSON emission; registry determinism
 //   O2  recorder: the event stream's unit trace covers every unit and is
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,6 +66,35 @@ TEST(Metrics, NearestRankMatchesLegacyFormula) {  // O1
     EXPECT_DOUBLE_EQ(obs::nearest_rank(xs, q), legacy_percentile(xs, q)) << q;
   EXPECT_DOUBLE_EQ(obs::nearest_rank({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(obs::nearest_rank({7.0}, 0.5), 7.0);
+}
+
+TEST(Metrics, SelectedPercentilesEqualSortedNearestRank) {  // O1
+  // Seeded samples with heavy ties (values drawn from a handful of
+  // levels) and without, at sizes around the p99.9 rank boundaries.
+  const std::array<double, 3> qs{0.50, 0.99, 0.999};
+  std::mt19937_64 rng(2024);
+  for (const std::size_t n :
+       {std::size_t(0), std::size_t(1), std::size_t(2), std::size_t(3),
+        std::size_t(10), std::size_t(999), std::size_t(1000),
+        std::size_t(1001), std::size_t(4097)})
+    for (const int levels : {0, 1, 3, 50}) {
+      std::vector<double> sample;
+      for (std::size_t i = 0; i < n; ++i)
+        sample.push_back(levels == 0 ? double(rng() % 100000) / 7.0
+                                     : double(rng() % levels));
+      std::vector<double> sorted = sample;
+      std::sort(sorted.begin(), sorted.end());
+      const std::array<double, 3> got = obs::nearest_ranks(sample, qs);
+      for (std::size_t k = 0; k < qs.size(); ++k)
+        EXPECT_EQ(got[k], obs::nearest_rank(sorted, qs[k]))
+            << "n=" << n << " levels=" << levels << " q=" << qs[k];
+      std::sort(sample.begin(), sample.end());
+      EXPECT_EQ(sample, sorted) << "the selection lost or changed a value";
+    }
+  std::vector<double> one{4.5};
+  EXPECT_EQ(obs::nearest_ranks(one, qs), (std::array{4.5, 4.5, 4.5}));
+  std::vector<double> none;
+  EXPECT_EQ(obs::nearest_ranks(none, qs), (std::array{0.0, 0.0, 0.0}));
 }
 
 TEST(Metrics, Log2HistogramBucketEdgesAreInclusive) {  // O1

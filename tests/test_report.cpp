@@ -122,8 +122,7 @@ serve::JobRecord job(std::size_t index, const std::string& tenant,
   serve::JobRecord r;
   r.job.index = index;
   r.job.tenant = tenant;
-  r.job.workload.algo = "mm";
-  r.job.workload.n = 16;
+  r.job.workload = exp::intern(exp::parse_workload("mm:n=16"));
   r.job.arrival = arrival;
   r.job.deadline = deadline;
   r.start = arrival + 0.5;

@@ -3,18 +3,19 @@
 //       the full offending spec verbatim (unknown kind/key, duplicates,
 //       missing required keys, out-of-range values)
 //   V2  trace parsing: comments/blanks, (arrival, input-order) sorting,
-//       deadlines; malformed lines fail loudly with file:line and the
-//       offending text verbatim
-//   V3  poisson expansion is a pure function of (spec, mix); closed specs
-//       and empty mixes are rejected
+//       deadlines, one interned handle per distinct spec; malformed lines
+//       fail loudly with file:line and the offending text verbatim
+//   V3  poisson expansion is a pure function of (spec, mix) that deals
+//       the mix's interned handles; closed specs and empty mixes are
+//       rejected; JobSpec and JobRecord stay within 64 and 144 bytes
 //   V4  the edf policy: registered, flagged deadline-aware, and its batch
 //       (single-DAG) stats are bit-identical to greedy's — the unit-level
 //       discipline is the same; only service-mode admission differs
 //   V5  service semantics: a single-job stream equals the batch makespan
 //       (latency = service when it arrives at time 0), simultaneous
 //       arrivals tie-break by submission index under FIFO and by deadline
-//       under EDF, and an empty stream is an idle service (zeros,
-//       fairness 1), not an error
+//       under EDF, an empty stream is an idle service (zeros,
+//       fairness 1), not an error, and label-equal specs are one workload
 //   V6  determinism: the full grid at --jobs=1 and --jobs=4 produces
 //       byte-identical table/JSON/CSV output (measured and unmeasured),
 //       and a rerun with the same seed reproduces it
@@ -58,6 +59,13 @@ using serve::JobSpec;
 using serve::ServeCell;
 using serve::ServeScenario;
 using serve::ServeSweep;
+
+// One JobRecord is written per job and cell: the job types stay lean
+// (serve/arrivals.hpp, "Memory layout"), and growing them fails here.
+#if defined(__LP64__)
+static_assert(sizeof(serve::JobSpec) <= 64);
+static_assert(sizeof(serve::JobRecord) <= 144);
+#endif
 
 /// The error message a callable throws (empty = it did not throw): every
 /// loud-failure test asserts on the message content, not just the throw.
@@ -137,6 +145,10 @@ TEST(Arrivals, TraceParsingSortsAndKeepsInputOrderOnTies) {  // V2
   // `index` is the submission (input) order, not the sorted position.
   EXPECT_EQ(jobs[0].index, 1u);
   EXPECT_EQ(jobs[1].index, 0u);
+  // Equal specs share one interned workload handle.
+  EXPECT_TRUE(jobs[0].workload == jobs[2].workload);
+  EXPECT_FALSE(jobs[0].workload == jobs[1].workload);
+  EXPECT_EQ(jobs[2].workload.label(), "mm:n=32");
 }
 
 TEST(Arrivals, TraceRejectionsNameLineAndText) {  // V2
@@ -183,6 +195,8 @@ TEST(Arrivals, PoissonExpansionIsDeterministic) {  // V3
   EXPECT_EQ(a[0].tenant, "t0");
   EXPECT_EQ(a[4].tenant, "t1");
   EXPECT_EQ(a[1].workload.label(), "lcs:n=96");
+  EXPECT_TRUE(a[1].workload == a[3].workload);
+  EXPECT_EQ(*a[0].workload, mix[0]);
 
   EXPECT_FALSE(check_error_of([&] {
                  serve::expand_open_arrivals(
@@ -289,6 +303,25 @@ TEST(ServeEngine, EmptyStreamIsAnIdleService) {  // V5
   serve::write_serve_json(json, "empty", cells);
   serve::write_serve_csv(csv, cells);
   EXPECT_NE(json.str().find("\"completed\": 0"), std::string::npos);
+}
+
+TEST(ServeEngine, LabelEqualSpecsShareOneWorkload) {  // V5
+  // A spec built past the parser can differ from a parsed one only in
+  // fields its label omits (a gen spec's base): a distinct handle, but
+  // the same DAG, so the stream plan builds it once.
+  ServeScenario s = trace_scenario(
+      "0 a gen:family=sp,depth=3,fan=2,seed=5\n"
+      "1 b gen:family=sp,depth=3,fan=2,seed=5\n",
+      "sb");
+  exp::WorkloadSpec odd = *s.jobs[1].workload;
+  odd.base = 16;
+  s.jobs[1].workload = exp::intern(odd);
+  ASSERT_FALSE(s.jobs[0].workload == s.jobs[1].workload);
+  ServeSweep sweep(s, 1);
+  ASSERT_EQ(sweep.run()[0].jobs.size(), 2u);
+  EXPECT_EQ(sweep.condensations_built(), 1u);
+  EXPECT_EQ(sweep.simulations(), 1u);
+  EXPECT_EQ(sweep.results()[0].summary.tenants, 2u);
 }
 
 TEST(ServeEngine, SimultaneousArrivalsTieBreak) {  // V5
@@ -517,7 +550,7 @@ class SoloRuns {
     const Pmh m = make_pmh(cell.machine);
     const std::string label = job.workload.label();
     std::unique_ptr<exp::Workload>& w = workloads_[label];
-    if (!w) w = std::make_unique<exp::Workload>(job.workload);
+    if (!w) w = std::make_unique<exp::Workload>(*job.workload);
     std::unique_ptr<CondensedDag>& dag =
         dags_[{label, cell.machine, cell.sigma}];
     if (!dag)

@@ -76,6 +76,17 @@ TEST(Spec, NumberRulesAndKeys) {  // S1
                 .find("unknown machine parameter 'q' in 'twotier:s=2,q=1' "
                       "(valid: s, c, m1, m2, c1, c2)"),
             std::string::npos);
+  // Processors plus caches are capped in total, not per count; the parser
+  // rejects past the cap before anything is built.
+  for (const char* big : {"flat:p=65537", "flat:p=1073741824",
+                          "twotier:s=1073741824,c=1073741824",
+                          "twotier:s=256,c=256", "twotier:s=65536,c=1"})
+    EXPECT_NE(error_of([&] { (void)parse_pmh(big); })
+                  .find(std::string("machine '") + big + "' has "),
+              std::string::npos)
+        << big;
+  EXPECT_EQ(parse_pmh("flat:p=65536").root_fanout, 65536u);
+  EXPECT_EQ(parse_pmh("twotier:s=128,c=255").root_fanout, 128u);
 
   // Arrival seeds take any 64-bit value, like gen:'s.
   EXPECT_EQ(serve::parse_arrivals("poisson:rate=1,jobs=2,seed=0").seed, 0u);
@@ -262,7 +273,7 @@ std::string check_one(Kind kind, const std::string& text) {
         if (!std::isfinite(j.arrival) || j.arrival < 0.0 ||
             !(j.deadline >= j.arrival))
           why << "job arrival " << j.arrival << " deadline " << j.deadline;
-        if (!(exp::parse_workload(j.workload.label()) == j.workload))
+        if (!(exp::parse_workload(j.workload.label()) == *j.workload))
           why << "label '" << j.workload.label()
               << "' parses to a different spec";
       }
